@@ -91,6 +91,16 @@ pub fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Seed of frame `index` in a stream keyed by `seed`.
+///
+/// This is the one per-frame derivation every evaluator shares: the
+/// offline accuracy grid and energy analysis key it by the test-set row,
+/// the serving runtime by the request's sequence number. Two paths that
+/// serve the same `(seed, index)` therefore draw the same spike trains.
+pub fn frame_seed(seed: u64, index: u64) -> u64 {
+    splitmix64(seed ^ index.wrapping_mul(0x9E37_79B9))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

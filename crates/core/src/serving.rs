@@ -138,8 +138,8 @@ pub fn serve_network(net: &Network, cfg: ServeConfig) -> Result<ServeRuntime, Se
 
 /// Start one *packed multi-tenant* runtime over several already-extracted
 /// hardware specs: each spec becomes a tenant with a disjoint core
-/// rectangle on one chip, addressed by
-/// [`ServeRuntime::submit_model`] with its index in `specs`. Every
+/// rectangle on one chip, addressed by [`ServeRuntime::submit`] with
+/// [`tn_serve::SubmitRequest::model`] set to its index in `specs`. Every
 /// tenant's responses are bit-identical to a solo runtime serving that
 /// spec alone under the same config.
 ///

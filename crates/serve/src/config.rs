@@ -172,74 +172,6 @@ impl ServeConfig {
         ServeConfigBuilder::new(seed)
     }
 
-    /// Set the replica (spatial copy) count per worker.
-    #[deprecated(since = "0.4.0", note = "use ServeConfig::builder(..).replicas(..)")]
-    pub fn with_replicas(mut self, replicas: usize) -> Self {
-        self.replicas = replicas;
-        self
-    }
-
-    /// Set the worker-thread count.
-    #[deprecated(since = "0.4.0", note = "use ServeConfig::builder(..).workers(..)")]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// Set spikes per frame.
-    #[deprecated(since = "0.4.0", note = "use ServeConfig::builder(..).spf(..)")]
-    pub fn with_spf(mut self, spf: usize) -> Self {
-        self.spf = spf;
-        self
-    }
-
-    /// Set the submission-queue capacity.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use ServeConfig::builder(..).queue_capacity(..)"
-    )]
-    pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = capacity;
-        self
-    }
-
-    /// Set the per-worker micro-batch size.
-    #[deprecated(since = "0.4.0", note = "use ServeConfig::builder(..).batch_max(..)")]
-    pub fn with_batch_max(mut self, batch_max: usize) -> Self {
-        self.batch_max = batch_max;
-        self
-    }
-
-    /// Set the full-queue behaviour.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use ServeConfig::builder(..).backpressure(..)"
-    )]
-    pub fn with_backpressure(mut self, backpressure: Backpressure) -> Self {
-        self.backpressure = backpressure;
-        self
-    }
-
-    /// Set the connectivity mode for replica sampling.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use ServeConfig::builder(..).connectivity(..)"
-    )]
-    pub fn with_connectivity(mut self, connectivity: ConnectivityMode) -> Self {
-        self.connectivity = connectivity;
-        self
-    }
-
-    /// Set the per-worker intra-tick core parallelism.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use ServeConfig::builder(..).core_threads(..)"
-    )]
-    pub fn with_core_threads(mut self, core_threads: usize) -> Self {
-        self.core_threads = core_threads;
-        self
-    }
-
     /// Check internal consistency.
     ///
     /// # Errors
@@ -530,32 +462,5 @@ mod tests {
                 .build(),
             Err(ServeError::BadConfig(msg)) if msg.contains("missing")
         ));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_setters_still_compile_and_agree_with_builder() {
-        let legacy = ServeConfig::new(42)
-            .with_replicas(4)
-            .with_workers(3)
-            .with_spf(16)
-            .with_queue_capacity(32)
-            .with_batch_max(2)
-            .with_backpressure(Backpressure::Reject)
-            .with_connectivity(ConnectivityMode::RuntimeStochastic)
-            .with_core_threads(2);
-        legacy.validate().expect("valid");
-        let built = ServeConfig::builder(42)
-            .replicas(4)
-            .workers(3)
-            .spf(16)
-            .queue_capacity(32)
-            .batch_max(2)
-            .backpressure(Backpressure::Reject)
-            .connectivity(ConnectivityMode::RuntimeStochastic)
-            .core_threads(2)
-            .build()
-            .expect("valid");
-        assert_eq!(legacy, built);
     }
 }

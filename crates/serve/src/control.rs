@@ -53,10 +53,11 @@ use crate::error::ServeError;
 /// Per-request-class bounds for the spf (ticks-per-frame) actuator.
 ///
 /// A *request class* is a caller-chosen service tier: class `c` of a
-/// submission ([`crate::ServeRuntime::submit_class`]) selects
-/// `spf_classes[c]`. The controller moves the class's live spf
-/// multiplicatively inside `[spf_min, spf_max]`; frames always run at the
-/// spf their class held at serve time.
+/// submission ([`crate::SubmitRequest::class`] on
+/// [`crate::ServeRuntime::submit`]) selects `spf_classes[c]`. The
+/// controller moves the class's live spf multiplicatively inside
+/// `[spf_min, spf_max]`; frames always run at the spf their class held at
+/// serve time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpfClass {
     /// Floor for the class's ticks-per-frame (≥ 1). The throughput end:

@@ -39,9 +39,11 @@
 //!   prediction is the argmax of their pooled votes.
 //!   [`Response::agreement`] reports how unanimously the replicas voted —
 //!   a live estimate of how much duplication the model still needs.
-//! * **Workers** are OS threads that each own a *clone* of one prototype
-//!   deployment, so every worker holds bit-identical replicas and any
-//!   worker can serve any request.
+//! * **Workers** are OS threads that each own a *clone* of every engine
+//!   slot's prototype (the base deployment, plus one per quality tier),
+//!   so every worker holds bit-identical replicas and any worker can
+//!   serve any request. Solo, packed, and tiered runtimes all run the
+//!   same worker loop; see `runtime.rs`.
 //! * **Determinism**: a request's spike trains are seeded by
 //!   `(cfg.seed, seq)` alone — the same per-frame derivation the offline
 //!   evaluator uses — and each lockstep lane draws from its own PRNG
@@ -53,7 +55,7 @@
 //! * **Multi-tenant packing** (optional): [`ServeRuntime::new_packed`]
 //!   deploys *several* specs as tenants of one packed chip
 //!   ([`tn_chip::pack::PackedDeployment`]): each tenant owns a disjoint
-//!   core rectangle, [`ServeRuntime::submit_model`] routes requests by
+//!   core rectangle, [`SubmitRequest::model`] routes requests by
 //!   model id, and a kernel batch mixes tenants into the same lockstep
 //!   pass through per-model lane groups. Consolidation buys aggregate
 //!   throughput at equal hardware while every tenant's responses stay
@@ -69,7 +71,8 @@
 //!   ([`vote_margin`] mapped through a per-tier [`CalibrationMap`]
 //!   fitted by [`ServeRuntime::calibrate_tiers`]), and a low-confidence
 //!   answer on a tier with an `escalate_to` edge is transparently
-//!   re-run on the target tier — bit-identical to having submitted
+//!   re-served on the target tier in the same worker pass, fused with
+//!   that tier's direct requests — bit-identical to having submitted
 //!   there directly. Per-tier `serve.tier.{t}.*` counters ride the
 //!   telemetry snapshots.
 //! * **Backpressure**: the submission queue is bounded;
@@ -139,41 +142,6 @@
 //! let metrics = rt.shutdown();
 //! assert_eq!(metrics.completed, 1);
 //! ```
-//!
-//! # Migrating from `run_frame_votes` and `with_*` setters
-//!
-//! The single-frame `Deployment::run_frame_votes` shim (deprecated in
-//! 0.4.0) has been **removed**: the batch-first
-//! `tn_chip::nscs::Deployment::run_frames` is the only frame-serving
-//! entry point. Replace
-//! `dep.run_frame_votes(&x, spf, seed, &mut votes)` with
-//! `dep.run_frames(&[FrameInput::new(&x, spf, seed)])`. Likewise
-//! `ServeConfig`'s chained `with_*` setters are deprecated shims over
-//! the validated [`ServeConfigBuilder`]: replace
-//! `ServeConfig::new(7).with_replicas(4)` with
-//! `ServeConfig::builder(7).replicas(4).build()?`. Results are unchanged
-//! bit-for-bit; only the calling conventions moved.
-//!
-//! # Migrating from the positional `submit*` variants
-//!
-//! The four positional submit entry points (`submit(inputs)`,
-//! `submit_class(inputs, class)`, `submit_model(model, inputs)`,
-//! `submit_model_class(model, inputs, class)`) collapsed into one
-//! builder-accepting [`ServeRuntime::submit`] in 0.8.0. The old variants
-//! remain as `#[deprecated]` shims for one release. Migrate with:
-//!
-//! ```text
-//! rt.submit(inputs)                         -> rt.submit(inputs)  // unchanged: Vec<f32> converts
-//! rt.submit_class(inputs, c)                -> rt.submit(SubmitRequest::new(inputs).class(c))
-//! rt.submit_model(m, inputs)                -> rt.submit(SubmitRequest::new(inputs).model(m))
-//! rt.submit_model_class(m, inputs, c)       -> rt.submit(SubmitRequest::new(inputs).model(m).class(c))
-//! ```
-//!
-//! Routing facts moved off `Response`'s top level into
-//! [`Response::served`] ([`ServedAs`]): `r.class` → `r.class()`,
-//! `r.model` → `r.model()`, `r.spf` → `r.spf()`, joined by the new
-//! `r.tier()` / `r.confidence()` / `r.escalated()`. Results are
-//! unchanged bit-for-bit; only the calling conventions moved.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -80,6 +80,18 @@ TN_TRAIN=200 TN_TEST=60 TN_EPOCHS=1 TN_GATEWAY_CLIENTS=3 TN_GATEWAY_REQUESTS=24 
 cargo run --release -q -p tn-telemetry --bin snapshot_check -- - --min 1 \
   < "$GATEWAY_TRAIL"
 
+echo "== benchmark self-tests: tnbench =="
+# tnbench is its own workspace (it builds the repo's crates by path), so
+# the workspace test run above does not reach it.
+cargo test --offline --manifest-path tnbench/Cargo.toml
+
+echo "== benchmark smoke: packed-pair answers match a solo runtime =="
+# Two trained models packed on one chip, served through the shared
+# worker loop; the built-in answer check against a solo runtime exits 1
+# on any mismatch.
+cargo run --quiet --offline --release --manifest-path tnbench/Cargo.toml -- \
+  --workload packed-pair --seed 1 --seconds 2 --trace 0
+
 echo "== lint gate: clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
