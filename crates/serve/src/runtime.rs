@@ -1133,7 +1133,13 @@ fn observer_loop(ctx: &ObserverCtx) {
         let stopped = {
             let (lock, cvar) = &*ctx.stop;
             let guard = lock.lock().expect("stop lock");
-            let (guard, _) = cvar.wait_timeout(guard, tick).expect("stop wait");
+            // Check the flag before sleeping: a stop raised before this
+            // thread first reaches the wait has already been notified, and
+            // a bare wait would then sleep out the whole tick (an hour on
+            // a runtime whose controller samples hourly).
+            let (guard, _) = cvar
+                .wait_timeout_while(guard, tick, |stopped| !*stopped)
+                .expect("stop wait");
             *guard
         };
         let now_ns = ctx.clock.now_ns();
@@ -1680,6 +1686,31 @@ mod tests {
         };
         assert_eq!(rt.submit(vec![0.5, 0.5]).unwrap_err(), ServeError::ShuttingDown);
         assert_eq!(snap.rejected, 0, "shutdown refusals are not load shedding");
+    }
+
+    #[test]
+    fn shutdown_stops_an_observer_that_has_not_waited_yet() {
+        // An hourly controller makes the observer's tick an hour long.
+        // Shutting down straight after boot often raises the stop flag
+        // before the observer thread first reaches its wait; that stop
+        // must still end it at once instead of after a full tick.
+        use crate::control::ControllerConfig;
+        let cfg = ServeConfig::builder(5)
+            .controller(ControllerConfig {
+                sample_interval: Duration::from_secs(3600),
+                ..ControllerConfig::default()
+            })
+            .build()
+            .expect("cfg");
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..200 {
+                runtime(cfg.clone()).shutdown();
+            }
+            tx.send(()).expect("report");
+        });
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("every shutdown returns without waiting out the tick");
     }
 
     #[test]
