@@ -9,9 +9,11 @@
 //! compilation buys.
 //!
 //! The `compiled_batchB_*` cells tick B independent frames in lockstep
-//! lanes (`CompiledChip::begin_lanes`): one crossbar walk per tick serves
-//! all B lanes, and the reported ticks/s counts *frame* ticks (lockstep
-//! rate × B) so rows compare directly against the single-frame backends.
+//! lanes — one lane group spanning the chip
+//! (`CompiledChip::begin_lane_groups`), exactly how a solo deployment
+//! serves a micro-batch: one crossbar walk per tick serves all B lanes,
+//! and the reported ticks/s counts *frame* ticks (lockstep rate × B) so
+//! rows compare directly against the single-frame backends.
 //!
 //! Knobs: `TN_BENCH_TICKS` (measured ticks per cell, default 2000),
 //! `TN_BENCH_JSON` (write a machine-readable summary to this path),
@@ -28,7 +30,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tn_chip::chip::{SpikeTarget, TrueNorthChip};
-use tn_chip::kernel::CompiledChip;
+use tn_chip::kernel::{CompiledChip, LaneGroupSpec};
 use tn_chip::neuro_core::NeuroSynapticCore;
 use tn_chip::neuron::{NeuronConfig, ResetMode};
 use tn_chip::nscs::{CoreDeploySpec, Deployment, FrameInput, InputSource, NetworkDeploySpec};
@@ -201,9 +203,10 @@ fn bench_compiled(
     }
 }
 
-/// Tick `lanes` independent frames in lockstep on the compiled kernel.
-/// Reported ticks/s are *frame* ticks (lockstep rate × lanes), directly
-/// comparable with the single-frame cells.
+/// Tick `lanes` independent frames in lockstep on the compiled kernel, as
+/// one lane group spanning the chip. Reported ticks/s are *frame* ticks
+/// (lockstep rate × lanes), directly comparable with the single-frame
+/// cells.
 fn bench_lanes(
     workload: &'static str,
     chip: &TrueNorthChip,
@@ -217,11 +220,18 @@ fn bench_lanes(
     assert!(fast.supports_lanes(), "bench chips are history-free");
     let inj = injections(fast.core_count(), density);
     let lane_seeds: Vec<u64> = (0..lanes as u64).map(|l| SEED ^ (l << 8)).collect();
-    let mut batch = fast.begin_lanes(&lane_seeds);
+    // A lane group runs a fixed tick count: everything `measure` calls
+    // the closure for (`ticks / 10` warmup + 3 × `ticks` measured).
+    let mut batch = fast.begin_lane_groups(&[LaneGroupSpec {
+        cores: 0..fast.core_count(),
+        channels: 0..fast.output_counts().len(),
+        lane_seeds: &lane_seeds,
+        ticks: ticks / 10 + 3 * ticks,
+    }]);
     let rate = measure(ticks, || {
         for lane in 0..lanes {
             for &(c, a) in &inj {
-                batch.inject(lane, c, a);
+                batch.inject(0, lane, c, a);
             }
         }
         batch.tick();
@@ -274,11 +284,13 @@ fn pack_spec(n_inputs: usize, n_classes: usize) -> NetworkDeploySpec {
 /// once through two solo deployments run back to back, and once through
 /// one [`PackedDeployment`] mixing both tenants' lanes into the same
 /// lockstep pass. Reported ticks/s are frame ticks (frames × spf per
-/// call), directly comparable across the two backends. At this scale —
-/// one tiny core per tenant, a single thread — the packed cell runs
-/// slightly *behind* solo: per-tick group bookkeeping (ring delivery,
-/// routing isolation checks) is pure overhead with no shared fan-out
-/// cost to amortize. The cell pins that overhead down; the consolidation
+/// call), directly comparable across the two backends. Both run the same
+/// grouped lane kernel — solo as one lane group per call, packed as one
+/// group per tenant in a single pass — so the cell isolates what fusing
+/// the tenants changes: one shared per-tick pass instead of two, against
+/// the packed path's per-call bucketing of frames into per-tenant chunks.
+/// At this scale — one tiny core per tenant, a single thread — there is
+/// no fan-out cost to amortize, so the two stay close; the consolidation
 /// *win* shows up at serving scale, where packed tenants share worker
 /// threads and per-pass scheduling — see `consolidation_cells` in
 /// `serve_throughput --packed`.

@@ -105,7 +105,7 @@ pub struct ServeConfig {
     /// Max requests a worker drains per queue lock (micro-batch size).
     pub batch_max: usize,
     /// Frames fused per compiled-kernel lockstep run
-    /// ([`tn_chip::kernel::LaneBatch`]): a worker slices each drained
+    /// ([`tn_chip::kernel::GroupedLaneBatch`]): a worker slices each drained
     /// micro-batch into groups of up to this many frames and ticks each
     /// group through one crossbar walk per tick. Results are bit-identical
     /// for any value (1 = frame-at-a-time); larger values amortize row

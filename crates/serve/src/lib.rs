@@ -28,7 +28,8 @@
 //!   serves them in slices of up to [`ServeConfig::kernel_batch`] frames
 //!   through one `tn_chip::nscs::Deployment::run_frames` call. Each slice
 //!   ticks as **lockstep lanes** on the compiled kernel
-//!   ([`tn_chip::kernel::LaneBatch`]): every tick makes one pass over the
+//!   ([`tn_chip::kernel::GroupedLaneBatch`], one lane group spanning the
+//!   chip): every tick makes one pass over the
 //!   packed crossbar rows and applies each row to all lanes it is active
 //!   on, amortizing the crossbar walk — the dominant cost, since the
 //!   paper's accuracy recipe makes every request R replicas × spf ticks of

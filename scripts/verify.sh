@@ -92,6 +92,13 @@ echo "== benchmark smoke: packed-pair answers match a solo runtime =="
 cargo run --quiet --offline --release --manifest-path tnbench/Cargo.toml -- \
   --workload packed-pair --seed 1 --seconds 2 --trace 0
 
+echo "== benchmark smoke: copies-saturated answers match a solo runtime =="
+# Full lockstep lane batches on one solo deployment: the answer check
+# compares the grouped lane kernel against a one-at-a-time runtime on the
+# single-frame tick path and exits 1 on any mismatch.
+cargo run --quiet --offline --release --manifest-path tnbench/Cargo.toml -- \
+  --workload copies-saturated --seed 1 --seconds 2 --trace 0
+
 echo "== lint gate: clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
