@@ -6,10 +6,12 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::io::{Read, Write};
+use std::sync::Arc;
 use std::time::Duration;
 use tn_chip::nscs::{CoreDeploySpec, Deployment, FrameInput, InputSource, NetworkDeploySpec};
 use tn_gateway::{Gateway, GatewayConfig};
 use tn_serve::{BoundedQueue, ServeConfig, ServeRuntime};
+use tn_telemetry::NullSink;
 
 /// A 16-input / 4-class single-core spec. `polarized` drives every
 /// weight magnitude to 1 (what probability-biased training produces);
@@ -148,6 +150,7 @@ fn bench_gateway_roundtrip(c: &mut Criterion) {
             .build()
             .expect("cfg"),
         GatewayConfig::default(),
+        Arc::new(NullSink),
     )
     .expect("bind");
     let mut stream = std::net::TcpStream::connect(gw.local_addr()).expect("connect");

@@ -92,10 +92,7 @@ pub mod prelude {
     };
     pub use crate::power::{analyze_energy, EnergyAnalysis};
     pub use crate::serving::{
-        fleet_network, fleet_persisted, fleet_persisted_with_sink, gateway_network,
-        gateway_network_with_sink, gateway_spec, serve_network, serve_network_with_sink,
-        serve_packed_networks, serve_packed_specs, serve_packed_specs_with_sink, serve_persisted,
-        serve_persisted_with_sink, serve_spec, serve_spec_with_sink, ServingError,
+        load_spec, serve_network, serve_spec, serve_spec_with_sink, ServingError,
     };
     pub use crate::surface::{AccuracySurface, BoostSurface};
     pub use crate::tea::{

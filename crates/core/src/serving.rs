@@ -1,28 +1,30 @@
 //! Glue from trained (or persisted) models to the `tn-serve` runtime.
 //!
 //! `tn-serve` itself depends only on `tn-chip` — it serves any
-//! [`NetworkDeploySpec`]. This module closes the loop for the common
-//! workflows: spin up a runtime straight from a trained
-//! [`Network`], or from a model file written by
-//! [`tn_learn::persist::save_network`].
+//! [`NetworkDeploySpec`]. Every backend is reached the same way: get a
+//! spec, then hand it to that backend's one constructor.
 //!
-//! Runtimes built here tick replicas on the compiled fast path
+//! * **Source:** [`extract_spec`] for a trained [`Network`], or
+//!   [`load_spec`] for a model file written by
+//!   [`tn_learn::persist::save_network`].
+//! * **Backend:** [`serve_spec_with_sink`] (or [`ServeRuntime::new_with_sink`])
+//!   for one in-process runtime, [`ServeRuntime::new_packed_with_sink`] for
+//!   several specs packed onto one chip,
+//!   [`Gateway::bind`](tn_gateway::Gateway::bind) for a TCP port, and
+//!   [`LocalFleet::launch_with_sink`](tn_fleet::LocalFleet::launch_with_sink)
+//!   for a sharded fleet. A packed or fleet backend goes on the network
+//!   through [`Gateway::bind_backend`](tn_gateway::Gateway::bind_backend).
+//!
+//! Runtimes tick replicas on the compiled fast path
 //! ([`tn_chip::kernel::CompiledChip`]) — the deployment compiles its chip
 //! at build time and the interpreter remains only as the reference
 //! implementation the kernel is proven bit-identical to. Raise
 //! [`ServeConfig::core_threads`] to additionally fan cores across threads
 //! inside each tick; neither knob changes any prediction.
-//!
-//! The `gateway_*` functions put the same runtimes on the network via
-//! `tn-gateway`, the std-only HTTP/TCP front-end: [`gateway_network`] is
-//! the one-call path from a trained [`Network`] to an open port.
 
-use std::net::ToSocketAddrs;
 use std::path::Path;
 use std::sync::Arc;
 
-use tn_fleet::{FleetConfig, LocalFleet};
-use tn_gateway::{Gateway, GatewayConfig, GatewayError};
 use tn_learn::model::Network;
 use tn_learn::persist::{load_network, PersistError};
 use tn_serve::{ServeConfig, ServeError, ServeRuntime};
@@ -44,8 +46,6 @@ pub enum ServingError {
     Persist(PersistError),
     /// The runtime itself refused the spec or configuration.
     Serve(ServeError),
-    /// The TCP front-end could not be brought up.
-    Gateway(GatewayError),
 }
 
 impl std::fmt::Display for ServingError {
@@ -54,7 +54,6 @@ impl std::fmt::Display for ServingError {
             Self::Extract(e) => write!(f, "cannot extract deploy spec: {e}"),
             Self::Persist(e) => write!(f, "cannot load persisted model: {e}"),
             Self::Serve(e) => write!(f, "cannot start serve runtime: {e}"),
-            Self::Gateway(e) => write!(f, "cannot start gateway: {e}"),
         }
     }
 }
@@ -65,14 +64,7 @@ impl std::error::Error for ServingError {
             Self::Extract(e) => Some(e),
             Self::Persist(e) => Some(e),
             Self::Serve(e) => Some(e),
-            Self::Gateway(e) => Some(e),
         }
-    }
-}
-
-impl From<GatewayError> for ServingError {
-    fn from(e: GatewayError) -> Self {
-        Self::Gateway(e)
     }
 }
 
@@ -98,6 +90,20 @@ impl From<std::io::Error> for ServingError {
     fn from(e: std::io::Error) -> Self {
         Self::Persist(PersistError::Io(e))
     }
+}
+
+/// Load a model persisted with [`tn_learn::persist::save_network`] and
+/// extract its hardware spec — the deploy-from-disk source for every
+/// backend.
+///
+/// # Errors
+///
+/// [`ServingError::Persist`] for unreadable or corrupt model files,
+/// [`ServingError::Extract`] for non-deployable networks.
+pub fn load_spec(path: &Path) -> Result<NetworkDeploySpec, ServingError> {
+    let file = std::fs::File::open(path)?;
+    let net = load_network(std::io::BufReader::new(file))?;
+    Ok(extract_spec(&net)?)
 }
 
 /// Start a serving runtime for an already-extracted hardware spec.
@@ -136,215 +142,12 @@ pub fn serve_network(net: &Network, cfg: ServeConfig) -> Result<ServeRuntime, Se
     serve_spec(&spec, cfg)
 }
 
-/// Start one *packed multi-tenant* runtime over several already-extracted
-/// hardware specs: each spec becomes a tenant with a disjoint core
-/// rectangle on one chip, addressed by [`ServeRuntime::submit`] with
-/// [`tn_serve::SubmitRequest::model`] set to its index in `specs`. Every
-/// tenant's responses are bit-identical to a solo runtime serving that
-/// spec alone under the same config.
-///
-/// # Errors
-///
-/// [`ServingError::Serve`] if the config is inconsistent, any spec is
-/// undeployable, or the tenants together exceed the chip's core budget.
-pub fn serve_packed_specs(
-    specs: &[NetworkDeploySpec],
-    cfg: ServeConfig,
-) -> Result<ServeRuntime, ServingError> {
-    Ok(ServeRuntime::new_packed(specs, cfg)?)
-}
-
-/// Like [`serve_packed_specs`], with a [`MetricsSink`] receiving the
-/// runtime's telemetry snapshots (which carry per-tenant
-/// `serve.model.{id}.*` counters).
-///
-/// # Errors
-///
-/// Same as [`serve_packed_specs`].
-pub fn serve_packed_specs_with_sink(
-    specs: &[NetworkDeploySpec],
-    cfg: ServeConfig,
-    sink: Arc<dyn MetricsSink>,
-) -> Result<ServeRuntime, ServingError> {
-    Ok(ServeRuntime::new_packed_with_sink(specs, cfg, sink)?)
-}
-
-/// Extract hardware specs from several trained networks and consolidate
-/// them onto one packed runtime — the one-call path from N independent
-/// `bench.train(..)` results to a multi-tenant chip.
-///
-/// # Errors
-///
-/// [`ServingError::Extract`] for non-deployable networks, plus
-/// everything [`serve_packed_specs`] can return.
-pub fn serve_packed_networks(
-    nets: &[&Network],
-    cfg: ServeConfig,
-) -> Result<ServeRuntime, ServingError> {
-    let specs: Vec<NetworkDeploySpec> = nets
-        .iter()
-        .map(|net| extract_spec(net))
-        .collect::<Result<_, _>>()?;
-    serve_packed_specs(&specs, cfg)
-}
-
-/// Like [`serve_network`], with a [`MetricsSink`] for telemetry export.
-///
-/// # Errors
-///
-/// Same as [`serve_network`].
-pub fn serve_network_with_sink(
-    net: &Network,
-    cfg: ServeConfig,
-    sink: Arc<dyn MetricsSink>,
-) -> Result<ServeRuntime, ServingError> {
-    let spec = extract_spec(net)?;
-    serve_spec_with_sink(&spec, cfg, sink)
-}
-
-/// Load a model persisted with [`tn_learn::persist::save_network`] and
-/// start serving it — the deploy-from-disk path of the serving story.
-///
-/// # Errors
-///
-/// [`ServingError::Persist`] for unreadable or corrupt model files, plus
-/// everything [`serve_network`] can return.
-pub fn serve_persisted(path: &Path, cfg: ServeConfig) -> Result<ServeRuntime, ServingError> {
-    let file = std::fs::File::open(path)?;
-    let net = load_network(std::io::BufReader::new(file))?;
-    serve_network(&net, cfg)
-}
-
-/// Serve an already-extracted hardware spec over TCP: deploy `spec`,
-/// start the worker pool, and listen on `addr` (port 0 picks an
-/// ephemeral port — read it back with [`Gateway::local_addr`]).
-///
-/// The gateway speaks HTTP/1.1 and line-JSON on the same port; see the
-/// [`tn_gateway`] crate docs for the wire protocol.
-///
-/// # Errors
-///
-/// [`ServingError::Gateway`] for bad gateway knobs, an unbindable
-/// address, or a runtime that refuses the spec.
-pub fn gateway_spec(
-    addr: impl ToSocketAddrs,
-    spec: &NetworkDeploySpec,
-    serve_cfg: ServeConfig,
-    gw_cfg: GatewayConfig,
-) -> Result<Gateway, ServingError> {
-    Ok(Gateway::bind(addr, spec, serve_cfg, gw_cfg)?)
-}
-
-/// Extract the hardware spec from a trained network and serve it over
-/// TCP — the one-call path from `bench.train(..)` to an open port.
-///
-/// # Errors
-///
-/// [`ServingError::Extract`] for non-deployable networks, plus
-/// everything [`gateway_spec`] can return.
-pub fn gateway_network(
-    addr: impl ToSocketAddrs,
-    net: &Network,
-    serve_cfg: ServeConfig,
-    gw_cfg: GatewayConfig,
-) -> Result<Gateway, ServingError> {
-    let spec = extract_spec(net)?;
-    gateway_spec(addr, &spec, serve_cfg, gw_cfg)
-}
-
-/// Like [`gateway_network`], with a [`MetricsSink`] receiving the full
-/// telemetry export stream (the gateway tees it, keeping the latest
-/// snapshot for `GET /v1/snapshot`).
-///
-/// # Errors
-///
-/// Same as [`gateway_network`].
-pub fn gateway_network_with_sink(
-    addr: impl ToSocketAddrs,
-    net: &Network,
-    serve_cfg: ServeConfig,
-    gw_cfg: GatewayConfig,
-    sink: Arc<dyn MetricsSink>,
-) -> Result<Gateway, ServingError> {
-    let spec = extract_spec(net)?;
-    Ok(Gateway::bind_with_sink(addr, &spec, serve_cfg, gw_cfg, sink)?)
-}
-
-/// Scale a trained network *out*: extract its hardware spec and launch
-/// an in-process `tn-fleet` — `n_shards` shard runtimes (each a full
-/// replica set built from `cfg.serve`) behind one router whose answer
-/// stream is bit-identical to a solo runtime. Submit through
-/// [`LocalFleet::router`] (a [`tn_serve::ServeBackend`]), or bind a
-/// gateway over it with `Gateway::bind_backend`.
-///
-/// # Errors
-///
-/// [`ServingError::Extract`] for non-deployable networks,
-/// [`ServingError::Serve`] for config/deploy/handshake failures.
-pub fn fleet_network(
-    net: &Network,
-    n_shards: usize,
-    cfg: FleetConfig,
-) -> Result<LocalFleet, ServingError> {
-    let spec = extract_spec(net)?;
-    Ok(LocalFleet::launch(&spec, n_shards, cfg)?)
-}
-
-/// Like [`fleet_network`], deploying from a model file persisted with
-/// [`tn_learn::persist::save_network`].
-///
-/// # Errors
-///
-/// [`ServingError::Persist`] for unreadable or corrupt model files, plus
-/// everything [`fleet_network`] can return.
-pub fn fleet_persisted(
-    path: &Path,
-    n_shards: usize,
-    cfg: FleetConfig,
-) -> Result<LocalFleet, ServingError> {
-    let file = std::fs::File::open(path)?;
-    let net = load_network(std::io::BufReader::new(file))?;
-    fleet_network(&net, n_shards, cfg)
-}
-
-/// Like [`fleet_persisted`], with a [`MetricsSink`] receiving every
-/// shard's `tn-telemetry/1` heartbeats as one aggregated stream.
-///
-/// # Errors
-///
-/// Same as [`fleet_persisted`].
-pub fn fleet_persisted_with_sink(
-    path: &Path,
-    n_shards: usize,
-    cfg: FleetConfig,
-    sink: Arc<dyn MetricsSink>,
-) -> Result<LocalFleet, ServingError> {
-    let file = std::fs::File::open(path)?;
-    let net = load_network(std::io::BufReader::new(file))?;
-    let spec = extract_spec(&net)?;
-    Ok(LocalFleet::launch_with_sink(&spec, n_shards, cfg, sink)?)
-}
-
-/// Like [`serve_persisted`], with a [`MetricsSink`] for telemetry export.
-///
-/// # Errors
-///
-/// Same as [`serve_persisted`].
-pub fn serve_persisted_with_sink(
-    path: &Path,
-    cfg: ServeConfig,
-    sink: Arc<dyn MetricsSink>,
-) -> Result<ServeRuntime, ServingError> {
-    let file = std::fs::File::open(path)?;
-    let net = load_network(std::io::BufReader::new(file))?;
-    serve_network_with_sink(&net, cfg, sink)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::prelude::*;
     use tn_learn::persist::save_network;
+    use tn_telemetry::NullSink;
 
     fn tiny_trained() -> (Network, BenchData) {
         let scale = RunScale {
@@ -385,14 +188,10 @@ mod tests {
         save_network(&net, &mut bytes).expect("encode");
         std::fs::write(&path, &bytes).expect("write");
 
-        // The sink variant is the same deploy-from-disk path with
-        // telemetry egress attached (a NullSink here keeps it silent).
-        let rt = serve_persisted_with_sink(
-            &path,
-            ServeConfig::new(5),
-            Arc::new(tn_telemetry::NullSink),
-        )
-        .expect("serve");
+        // The deploy-from-disk path with telemetry egress attached (a
+        // NullSink here keeps it silent).
+        let spec = load_spec(&path).expect("load");
+        let rt = serve_spec_with_sink(&spec, ServeConfig::new(5), Arc::new(NullSink)).expect("serve");
         let from_disk = rt.classify(data.test_x.row(0).to_vec()).expect("classify");
         rt.shutdown();
 
@@ -438,7 +237,8 @@ mod tests {
             .telemetry(TelemetryConfig::default())
             .build()
             .expect("cfg");
-        let rt = serve_network_with_sink(&net, cfg, Arc::clone(&sink) as Arc<dyn MetricsSink>)
+        let spec = extract_spec(&net).expect("extract");
+        let rt = serve_spec_with_sink(&spec, cfg, Arc::clone(&sink) as Arc<dyn MetricsSink>)
             .expect("serve");
         for row in 0..4 {
             rt.classify(data.test_x.row(row).to_vec()).expect("classify");
@@ -458,8 +258,15 @@ mod tests {
         // to the in-process runtime for the same (seed, seq).
         let (net, data) = tiny_trained();
         let cfg = || ServeConfig::builder(5).workers(2).build().expect("cfg");
-        let gw = gateway_network("127.0.0.1:0", &net, cfg(), GatewayConfig::default())
-            .expect("gateway");
+        let spec = extract_spec(&net).expect("extract");
+        let gw = Gateway::bind(
+            "127.0.0.1:0",
+            &spec,
+            cfg(),
+            GatewayConfig::default(),
+            Arc::new(NullSink),
+        )
+        .expect("gateway");
 
         let frame = data.test_x.row(0).to_vec();
         let nums: Vec<String> = frame.iter().map(|v| v.to_string()).collect();
@@ -518,7 +325,12 @@ mod tests {
             .expect("train");
 
         let cfg = || ServeConfig::builder(11).workers(2).build().expect("cfg");
-        let packed = serve_packed_networks(&[&net_a, &net_b], cfg()).expect("pack");
+        let specs = [
+            extract_spec(&net_a).expect("extract"),
+            extract_spec(&net_b).expect("extract"),
+        ];
+        let packed =
+            ServeRuntime::new_packed_with_sink(&specs, cfg(), Arc::new(NullSink)).expect("pack");
         assert!(packed.is_packed());
         assert_eq!(packed.models(), 2);
 
@@ -550,12 +362,16 @@ mod tests {
 
     #[test]
     fn missing_file_is_a_persist_error() {
-        let err = serve_persisted(
-            Path::new("/nonexistent/model.tnm"),
-            ServeConfig::default(),
-        )
-        .unwrap_err();
+        let err = load_spec(Path::new("/nonexistent/model.tnm")).unwrap_err();
         assert!(matches!(err, ServingError::Persist(PersistError::Io(_))));
         assert!(err.to_string().contains("persisted model"));
+
+        // A readable file that is not a model is a decode failure, still
+        // reported as a persistence error rather than a deploy one.
+        let path = std::env::temp_dir().join("tn-serve-not-a-model.tnm");
+        std::fs::write(&path, b"definitely not a TNM1 model").expect("write");
+        let err = load_spec(&path).unwrap_err();
+        let _ = std::fs::remove_file(&path);
+        assert!(matches!(err, ServingError::Persist(_)), "{err:?}");
     }
 }

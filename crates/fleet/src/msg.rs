@@ -351,29 +351,16 @@ pub fn encode_err(seq: u64, e: &ServeError) -> String {
             "input_out_of_range",
             format!("{{\"channel\":{channel},\"value\":{:?}}}", f64::from(*value)),
         ),
-        ServeError::UnknownClass { class, classes } => (
-            "unknown_class",
-            format!("{{\"class\":{class},\"classes\":{classes}}}"),
-        ),
-        ServeError::UnknownModel { model, models } => (
-            "unknown_model",
-            format!("{{\"model\":{model},\"models\":{models}}}"),
-        ),
-        ServeError::UnknownQuality { quality, tiers } => (
-            "unknown_quality",
-            format!(
-                "{{\"quality\":\"{}\",\"tiers\":{}}}",
-                escape(quality),
-                json_strings(tiers)
-            ),
-        ),
         ServeError::Pack(m) => ("pack", format!("{{\"detail\":\"{}\"}}", escape(m))),
-        // ServeError is #[non_exhaustive]; ship future variants as their
-        // rendering rather than failing to serve an error at all.
-        other => (
-            "other",
-            format!("{{\"detail\":\"{}\"}}", escape(&other.to_string())),
-        ),
+        // The routing failures carry the same detail object the gateway
+        // serves. ServeError is #[non_exhaustive]; ship future variants
+        // as their rendering rather than failing to serve an error at all.
+        other => other.routing_detail().unwrap_or_else(|| {
+            (
+                "other",
+                format!("{{\"detail\":\"{}\"}}", escape(&other.to_string())),
+            )
+        }),
     };
     format!(
         "{{\"seq\":{seq},\"code\":\"{code}\",\"message\":\"{}\",\"data\":{data}}}",

@@ -55,8 +55,8 @@ use std::time::Duration;
 use tn_chip::energy::EnergyReport;
 use tn_chip::nscs::ChipCounterExport;
 use tn_serve::{
-    Completer, MetricsSnapshot, QueueStats, RequestHandle, ServeBackend, ServeConfig, ServeError,
-    SubmitRequest,
+    Completer, LatencyHistogram, MetricsSnapshot, QueueStats, RequestHandle, ServeBackend,
+    ServeConfig, ServeError, SubmitRequest,
 };
 use tn_telemetry::{Clock, FreshnessTracker, MetricsSink, MonotonicClock, NullSink, Snapshot};
 
@@ -236,57 +236,7 @@ struct Inner {
     rejected: AtomicU64,
     retried: AtomicU64,
     agreement_micros: AtomicU64,
-    latency: Histogram,
-}
-
-/// Log2-bucketed latency histogram: enough for p50/p90/p99 at ≤ 2×
-/// resolution without unbounded memory.
-struct Histogram {
-    buckets: Vec<AtomicU64>,
-    total_ns: AtomicU64,
-    count: AtomicU64,
-}
-
-impl Histogram {
-    fn new() -> Self {
-        Self {
-            buckets: (0..64).map(|_| AtomicU64::new(0)).collect(),
-            total_ns: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-        }
-    }
-
-    fn record(&self, ns: u64) {
-        let k = 63 - ns.max(1).leading_zeros() as usize;
-        self.buckets[k].fetch_add(1, Ordering::Relaxed);
-        self.total_ns.fetch_add(ns, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn quantile(&self, q: f64) -> Duration {
-        let count = self.count.load(Ordering::Relaxed);
-        if count == 0 {
-            return Duration::ZERO;
-        }
-        let target = ((q * count as f64).ceil() as u64).clamp(1, count);
-        let mut seen = 0u64;
-        for (k, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= target {
-                // Bucket k holds [2^k, 2^(k+1)); report the midpoint.
-                return Duration::from_nanos((1u64 << k) + (1u64 << k) / 2);
-            }
-        }
-        Duration::ZERO
-    }
-
-    fn mean(&self) -> Duration {
-        let count = self.count.load(Ordering::Relaxed);
-        if count == 0 {
-            return Duration::ZERO;
-        }
-        Duration::from_nanos(self.total_ns.load(Ordering::Relaxed) / count)
-    }
+    latency: LatencyHistogram,
 }
 
 /// A fleet of shard connections behind one [`ServeBackend`] face.
@@ -429,7 +379,7 @@ impl FleetRouter {
             rejected: AtomicU64::new(0),
             retried: AtomicU64::new(0),
             agreement_micros: AtomicU64::new(0),
-            latency: Histogram::new(),
+            latency: LatencyHistogram::new(),
             cfg,
         });
         let readers = read_halves
@@ -600,7 +550,7 @@ impl Inner {
         // The caller's latency is end-to-end through the fleet, not the
         // shard's local measurement.
         resp.latency = Duration::from_nanos(lat_ns);
-        self.latency.record(lat_ns);
+        self.latency.record(resp.latency);
         self.completed.fetch_add(1, Ordering::Relaxed);
         self.agreement_micros.fetch_add(
             (f64::from(resp.agreement) * 1e6) as u64,
@@ -1226,25 +1176,6 @@ impl ServeBackend for FleetRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_quantiles_bracket_recorded_values() {
-        let h = Histogram::new();
-        for _ in 0..90 {
-            h.record(1_000); // bucket [512, 1024)... 1000 -> k=9
-        }
-        for _ in 0..10 {
-            h.record(1_000_000);
-        }
-        let p50 = h.quantile(0.50).as_nanos() as u64;
-        assert!((512..2048).contains(&p50), "p50 midpoint near 1us, got {p50}");
-        let p99 = h.quantile(0.99).as_nanos() as u64;
-        assert!(
-            (524_288..2_097_152).contains(&p99),
-            "p99 in the 1ms bucket, got {p99}"
-        );
-        assert_eq!(h.mean().as_nanos() as u64, (90 * 1_000 + 10 * 1_000_000) / 100);
-    }
 
     #[test]
     fn rendezvous_hash_is_stable_and_spreads() {

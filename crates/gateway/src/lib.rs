@@ -45,7 +45,7 @@
 //!
 //! | wire | request | response |
 //! |---|---|---|
-//! | HTTP | `POST /v1/classify` `{"frame":[...]}` (+ optional `"class"`, `"model"`) | votes / label / agreement / energy |
+//! | HTTP | `POST /v1/classify` `{"frame":[...]}` (+ optional `"class"`, `"model"`, `"quality"`) | votes / label / agreement / energy |
 //! | HTTP | `GET /v1/config` | serve config + model introspection |
 //! | HTTP | `GET /v1/snapshot` | latest `tn-telemetry/1` snapshot line |
 //! | HTTP | `GET /healthz` | `{"status":"ok"}` |
@@ -55,9 +55,11 @@
 //!
 //! ```
 //! use std::io::{Read, Write};
+//! use std::sync::Arc;
 //! use tn_chip::nscs::{CoreDeploySpec, InputSource, NetworkDeploySpec};
 //! use tn_gateway::{Gateway, GatewayConfig};
 //! use tn_serve::ServeConfig;
+//! use tn_telemetry::NullSink;
 //!
 //! let spec = NetworkDeploySpec {
 //!     cores: vec![CoreDeploySpec {
@@ -72,8 +74,14 @@
 //!     n_classes: 2,
 //!     output_taps: vec![(0, 0, 0), (0, 1, 1)],
 //! };
-//! let gw = Gateway::bind("127.0.0.1:0", &spec, ServeConfig::new(7), GatewayConfig::default())
-//!     .expect("bind");
+//! let gw = Gateway::bind(
+//!     "127.0.0.1:0",
+//!     &spec,
+//!     ServeConfig::new(7),
+//!     GatewayConfig::default(),
+//!     Arc::new(NullSink),
+//! )
+//! .expect("bind");
 //!
 //! // Any std TcpStream is a client.
 //! let mut client = std::net::TcpStream::connect(gw.local_addr()).expect("connect");
@@ -109,7 +117,7 @@ use tn_chip::nscs::NetworkDeploySpec;
 use tn_serve::{
     Backpressure, MetricsSnapshot, QueueStats, ServeBackend, ServeConfig, ServeRuntime,
 };
-use tn_telemetry::{LatestSink, MetricsSink, NullSink, Snapshot};
+use tn_telemetry::{LatestSink, MetricsSink, Snapshot};
 
 pub use error::GatewayError;
 use router::ServiceCtx;
@@ -208,8 +216,8 @@ impl Backend {
 
 /// A running serving front-end: one TCP listener, one reactor thread, one
 /// [`ServeBackend`] behind it (a [`ServeRuntime`] the gateway builds via
-/// the `bind*` constructors, or any caller-provided backend — e.g. a
-/// `tn-fleet` router — via [`Gateway::bind_backend`]).
+/// [`Gateway::bind`], or any caller-provided backend — e.g. a `tn-fleet`
+/// router or a packed runtime — via [`Gateway::bind_backend`]).
 ///
 /// Dropping a `Gateway` drains it like [`Gateway::shutdown`] (minus the
 /// returned metrics).
@@ -232,30 +240,19 @@ impl Gateway {
     /// connection — so the gateway always sheds load with `503` +
     /// `Retry-After` instead.
     ///
+    /// `sink` receives every telemetry snapshot the runtime's observer
+    /// exports (pass a [`tn_telemetry::NullSink`] for none). The gateway
+    /// interposes a [`LatestSink`] tee, so `GET /v1/snapshot` always
+    /// serves the most recent snapshot while `sink` still sees the full
+    /// export stream. The gateway owns the runtime: [`Gateway::shutdown`]
+    /// drains it.
+    ///
     /// # Errors
     ///
     /// [`GatewayError::BadConfig`] for inconsistent gateway knobs,
     /// [`GatewayError::Serve`] if the runtime cannot be built,
     /// [`GatewayError::Bind`] if the listener cannot be bound.
     pub fn bind(
-        addr: impl ToSocketAddrs,
-        spec: &NetworkDeploySpec,
-        serve_cfg: ServeConfig,
-        gw_cfg: GatewayConfig,
-    ) -> Result<Self, GatewayError> {
-        Self::bind_with_sink(addr, spec, serve_cfg, gw_cfg, Arc::new(NullSink))
-    }
-
-    /// Like [`Gateway::bind`], with a [`MetricsSink`] receiving every
-    /// telemetry snapshot the runtime's observer exports. The gateway
-    /// interposes a [`LatestSink`] tee, so `GET /v1/snapshot` always
-    /// serves the most recent snapshot while `sink` still sees the full
-    /// export stream.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Gateway::bind`].
-    pub fn bind_with_sink(
         addr: impl ToSocketAddrs,
         spec: &NetworkDeploySpec,
         mut serve_cfg: ServeConfig,
@@ -273,57 +270,9 @@ impl Gateway {
         Self::start(addr, Backend::Owned(runtime), gw_cfg, latest)
     }
 
-    /// Like [`Gateway::bind`], but deploys *several* specs as tenants of
-    /// one packed chip ([`ServeRuntime::new_packed`]): each spec gets a
-    /// disjoint core rectangle and a model id equal to its position in
-    /// `specs`. Clients pick a tenant with the `"model"` key on
-    /// `POST /v1/classify` (default 0); an out-of-range id is a
-    /// structured `400` with code `unknown_model`. `GET /v1/config`
-    /// lists every tenant under `"models"` and sets `"packed":true`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Gateway::bind`]; [`GatewayError::Serve`] additionally
-    /// covers packing failures (e.g. the tenants exceed the chip's core
-    /// budget).
-    pub fn bind_packed(
-        addr: impl ToSocketAddrs,
-        specs: &[NetworkDeploySpec],
-        serve_cfg: ServeConfig,
-        gw_cfg: GatewayConfig,
-    ) -> Result<Self, GatewayError> {
-        Self::bind_packed_with_sink(addr, specs, serve_cfg, gw_cfg, Arc::new(NullSink))
-    }
-
-    /// Like [`Gateway::bind_packed`], with a [`MetricsSink`] receiving
-    /// every telemetry snapshot (see [`Gateway::bind_with_sink`] for the
-    /// tee semantics). Snapshots carry per-tenant
-    /// `serve.model.{id}.*` counters alongside the global serve family.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Gateway::bind_packed`].
-    pub fn bind_packed_with_sink(
-        addr: impl ToSocketAddrs,
-        specs: &[NetworkDeploySpec],
-        mut serve_cfg: ServeConfig,
-        gw_cfg: GatewayConfig,
-        sink: Arc<dyn MetricsSink>,
-    ) -> Result<Self, GatewayError> {
-        gw_cfg.validate()?;
-        serve_cfg.backpressure = Backpressure::Reject;
-        let latest = Arc::new(LatestSink::tee(sink));
-        let runtime = Arc::new(ServeRuntime::new_packed_with_sink(
-            specs,
-            serve_cfg,
-            Arc::clone(&latest) as Arc<dyn MetricsSink>,
-        )?);
-        Self::start(addr, Backend::Owned(runtime), gw_cfg, latest)
-    }
-
-    /// Serve an *already-built* backend — the scale-out entry point. The
-    /// canonical caller launches a `tn-fleet` router over shard runtimes
-    /// and binds the HTTP front-end to it:
+    /// Serve an *already-built* backend — the scale-out and packing
+    /// entry point. The canonical caller launches a `tn-fleet` router
+    /// over shard runtimes and binds the HTTP front-end to it:
     ///
     /// ```text
     /// let latest = Arc::new(LatestSink::tee(sink));          // fleet's aggregated sink
@@ -331,13 +280,21 @@ impl Gateway {
     /// let gw = Gateway::bind_backend("127.0.0.1:0", fleet.router_arc(), gw_cfg, latest)?;
     /// ```
     ///
-    /// Unlike the `bind*` constructors the gateway does not own the
-    /// backend: [`Gateway::shutdown`] drains the gateway's connections
-    /// and returns [`ServeBackend::metrics`], after which the caller
-    /// shuts the backend itself down. The gateway also cannot force
-    /// rejecting backpressure here — the backend must already shed load
-    /// without blocking (`tn-fleet`'s router does; for a solo runtime
-    /// set [`Backpressure::Reject`] yourself).
+    /// A packed multi-tenant gateway is composed the same way over a
+    /// [`ServeRuntime::new_packed_with_sink`] runtime built with
+    /// [`Backpressure::Reject`]. Clients then pick a tenant with the
+    /// `"model"` key on `POST /v1/classify` (default 0; an out-of-range id
+    /// is a structured `400` with code `unknown_model`), and
+    /// `GET /v1/config` lists every tenant under `"models"` with
+    /// `"packed":true`.
+    ///
+    /// Unlike [`Gateway::bind`] the gateway does not own the backend:
+    /// [`Gateway::shutdown`] drains the gateway's connections and returns
+    /// [`ServeBackend::metrics`], after which the caller shuts the
+    /// backend itself down. The gateway also cannot force rejecting
+    /// backpressure here — the backend must already shed load without
+    /// blocking (`tn-fleet`'s router does; for a runtime set
+    /// [`Backpressure::Reject`] yourself).
     ///
     /// `latest` backs `GET /v1/snapshot`: pass the same [`LatestSink`]
     /// the backend's telemetry is teed through (as above), or a fresh
@@ -358,7 +315,7 @@ impl Gateway {
     }
 
     /// Bind the listener and spawn the reactor over an already-built
-    /// backend (shared tail of every `bind*` constructor).
+    /// backend (shared tail of both constructors).
     fn start(
         addr: impl ToSocketAddrs,
         backend: Backend,
@@ -412,9 +369,9 @@ impl Gateway {
 
     /// Graceful drain: stop accepting connections, complete and flush
     /// every admitted request, join the reactor, then — for gateways
-    /// that own their runtime (`bind*`) — shut the runtime down (its
-    /// observer emits one final telemetry snapshot) and return the final
-    /// metrics. A [`Gateway::bind_backend`] gateway returns the
+    /// that own their runtime ([`Gateway::bind`]) — shut the runtime
+    /// down (its observer emits one final telemetry snapshot) and return
+    /// the final metrics. A [`Gateway::bind_backend`] gateway returns the
     /// backend's current metrics and leaves shutting the backend down to
     /// its owner.
     pub fn shutdown(mut self) -> MetricsSnapshot {

@@ -94,7 +94,8 @@ fn classify(body: &[u8], ctx: &ServiceCtx, line_mode: bool) -> Pending {
 /// Submit one classify request; map admission failures onto wire
 /// responses. The routing failures (`unknown_class` / `unknown_model` /
 /// `unknown_quality`) share one structured 400 shape whose `detail`
-/// object names what was asked for and what this runtime serves.
+/// object ([`ServeError::routing_detail`]) names what was asked for and
+/// what this runtime serves.
 fn submit(request: SubmitRequest, ctx: &ServiceCtx, line_mode: bool) -> Pending {
     match ctx.rt.submit_request(request) {
         Ok(handle) => Pending::handle(handle, line_mode),
@@ -122,44 +123,14 @@ fn submit(request: SubmitRequest, ctx: &ServiceCtx, line_mode: bool) -> Pending 
         Err(
             e @ (ServeError::BadInput { .. } | ServeError::InputOutOfRange { .. }),
         ) => Pending::ready(400, proto::error_json("bad_input", &e.to_string()), line_mode),
-        Err(e @ ServeError::UnknownClass { class, classes }) => Pending::ready(
-            400,
-            proto::error_json_detail(
-                "unknown_class",
-                &e.to_string(),
-                Some(&format!("{{\"class\":{class},\"classes\":{classes}}}")),
-            ),
-            line_mode,
-        ),
-        Err(e @ ServeError::UnknownModel { model, models }) => Pending::ready(
-            400,
-            proto::error_json_detail(
-                "unknown_model",
-                &e.to_string(),
-                Some(&format!("{{\"model\":{model},\"models\":{models}}}")),
-            ),
-            line_mode,
-        ),
-        Err(ref e @ ServeError::UnknownQuality { ref quality, ref tiers }) => {
-            let listed = tiers
-                .iter()
-                .map(|t| format!("\"{}\"", json::escape(t)))
-                .collect::<Vec<_>>()
-                .join(",");
-            Pending::ready(
+        Err(e) => match e.routing_detail() {
+            Some((code, detail)) => Pending::ready(
                 400,
-                proto::error_json_detail(
-                    "unknown_quality",
-                    &e.to_string(),
-                    Some(&format!(
-                        "{{\"quality\":\"{}\",\"tiers\":[{listed}]}}",
-                        json::escape(quality)
-                    )),
-                ),
+                proto::error_json_detail(code, &e.to_string(), Some(&detail)),
                 line_mode,
-            )
-        }
-        Err(e) => Pending::ready(500, proto::error_json("internal", &e.to_string()), line_mode),
+            ),
+            None => Pending::ready(500, proto::error_json("internal", &e.to_string()), line_mode),
+        },
     }
 }
 

@@ -1,6 +1,7 @@
 //! Error taxonomy for the serving runtime.
 
 use tn_chip::nscs::DeployError;
+use tn_telemetry::json::escape;
 
 /// Everything that can go wrong between [`crate::ServeRuntime::new`] and a
 /// completed request.
@@ -71,7 +72,7 @@ pub enum ServeError {
         tiers: Vec<String>,
     },
     /// A set of deployments could not be packed onto one chip
-    /// ([`crate::ServeRuntime::new_packed`]); carries the
+    /// ([`crate::ServeRuntime::new_packed_with_sink`]); carries the
     /// [`tn_chip::pack::PackError`] rendering.
     Pack(String),
 }
@@ -117,6 +118,40 @@ impl std::fmt::Display for ServeError {
     }
 }
 
+impl ServeError {
+    /// The wire code and JSON `detail` object of a routing failure —
+    /// a request naming a class, model or quality tier this runtime does
+    /// not serve — or `None` for every other variant. The object names
+    /// what was asked for and what is served, e.g.
+    /// `("unknown_model", "{\"model\":3,\"models\":2}")`; the gateway
+    /// and the fleet protocol both render routing errors through it.
+    pub fn routing_detail(&self) -> Option<(&'static str, String)> {
+        match self {
+            Self::UnknownClass { class, classes } => Some((
+                "unknown_class",
+                format!("{{\"class\":{class},\"classes\":{classes}}}"),
+            )),
+            Self::UnknownModel { model, models } => Some((
+                "unknown_model",
+                format!("{{\"model\":{model},\"models\":{models}}}"),
+            )),
+            Self::UnknownQuality { quality, tiers } => {
+                let listed: Vec<String> =
+                    tiers.iter().map(|t| format!("\"{}\"", escape(t))).collect();
+                Some((
+                    "unknown_quality",
+                    format!(
+                        "{{\"quality\":\"{}\",\"tiers\":[{}]}}",
+                        escape(quality),
+                        listed.join(",")
+                    ),
+                ))
+            }
+            _ => None,
+        }
+    }
+}
+
 impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
@@ -154,5 +189,33 @@ mod tests {
             tiers: vec!["fast".into(), "certain".into()],
         };
         assert!(e.to_string().contains("turbo") && e.to_string().contains("fast"));
+    }
+
+    #[test]
+    fn routing_detail_renders_only_routing_failures() {
+        assert_eq!(
+            ServeError::UnknownClass { class: 3, classes: 2 }.routing_detail(),
+            Some(("unknown_class", "{\"class\":3,\"classes\":2}".to_string()))
+        );
+        assert_eq!(
+            ServeError::UnknownModel { model: 2, models: 2 }.routing_detail(),
+            Some(("unknown_model", "{\"model\":2,\"models\":2}".to_string()))
+        );
+        let e = ServeError::UnknownQuality {
+            quality: "tur\"bo".into(),
+            tiers: vec!["fast".into(), "certain".into()],
+        };
+        assert_eq!(
+            e.routing_detail(),
+            Some((
+                "unknown_quality",
+                "{\"quality\":\"tur\\\"bo\",\"tiers\":[\"fast\",\"certain\"]}".to_string()
+            ))
+        );
+        assert_eq!(ServeError::QueueFull.routing_detail(), None);
+        assert_eq!(
+            ServeError::InputOutOfRange { channel: 0, value: 2.0 }.routing_detail(),
+            None
+        );
     }
 }

@@ -53,7 +53,7 @@
 //!   were fused into kernel batches. See
 //!   `results_are_a_function_of_seq_not_worker_count` and
 //!   `kernel_batch_size_does_not_change_results` in `runtime.rs`.
-//! * **Multi-tenant packing** (optional): [`ServeRuntime::new_packed`]
+//! * **Multi-tenant packing** (optional): [`ServeRuntime::new_packed_with_sink`]
 //!   deploys *several* specs as tenants of one packed chip
 //!   ([`tn_chip::pack::PackedDeployment`]): each tenant owns a disjoint
 //!   core rectangle, [`SubmitRequest::model`] routes requests by
@@ -164,7 +164,7 @@ pub use config::{Backpressure, ServeConfig, ServeConfigBuilder, TelemetryConfig}
 pub use control::{ControlAction, ControlSample, Controller, ControllerConfig, SpfClass};
 pub use error::ServeError;
 pub use handle::{Completer, RequestHandle, Response, ServedAs};
-pub use metrics::{MetricsSnapshot, QueueStats};
+pub use metrics::{LatencyHistogram, MetricsSnapshot, QueueStats};
 pub use queue::{BoundedQueue, PushError};
 pub use request::SubmitRequest;
 pub use runtime::ServeRuntime;

@@ -1,13 +1,14 @@
 //! Lock-free runtime statistics.
 //!
 //! Counters are plain relaxed atomics (they feed monitoring, not control
-//! flow). Latency quantiles come from a fixed log-linear histogram: exact
-//! 1 ns buckets below 16 ns, then 16 sub-buckets per power of two, giving
-//! ≤ 1/16 (6.25%) quantile error over 1 ns .. ~18 s with zero allocation
-//! and no locks on the hot path. (The previous power-of-two buckets had
-//! ≤ 2× error, which collapsed p50 and p99 onto the same value whenever a
-//! workload's latencies fit inside one octave — exactly what steady-state
-//! serving produces.)
+//! flow). Latency quantiles come from [`LatencyHistogram`], a fixed
+//! log-linear histogram (also used by `tn-fleet`'s router): exact 1 ns
+//! buckets below 16 ns, then 16 sub-buckets per power of two, giving
+//! ≤ 1/16 (6.25%) quantile error with zero allocation and no locks on
+//! the record path. (Power-of-two buckets have ≤ 2× error, which
+//! collapses p50 and p99 onto the same value whenever a workload's
+//! latencies fit inside one octave — exactly what steady-state serving
+//! produces.)
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -65,6 +66,86 @@ fn bucket_lower_ns(i: usize) -> u64 {
     }
 }
 
+/// A lock-free log-linear latency histogram: exact 1 ns buckets below
+/// 16 ns, then 16 sub-buckets per power of two, so every quantile is
+/// within 1/16 of a recorded value (see [`LatencyHistogram::quantile`]).
+/// Recording is three relaxed atomic adds; memory is fixed at ~8 KiB.
+#[derive(Debug)]
+pub struct LatencyHistogram {
+    buckets: [AtomicU64; BUCKETS],
+    sum_ns: AtomicU64,
+    count: AtomicU64,
+}
+
+impl Default for LatencyHistogram {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl LatencyHistogram {
+    /// An empty histogram.
+    pub fn new() -> Self {
+        Self {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            sum_ns: AtomicU64::new(0),
+            count: AtomicU64::new(0),
+        }
+    }
+
+    /// Count one latency sample (saturating at `u64::MAX` ns).
+    pub fn record(&self, latency: Duration) {
+        let ns = u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX);
+        self.buckets[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
+        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The `q`-quantile (`0.0 ..= 1.0`), or zero when empty.
+    ///
+    /// The rank is `floor(q·n) + 1`: the smallest value with at most
+    /// `(1-q)·n` samples above it, so p99 over {99 fast, 1 slow} reports
+    /// the slow outlier. Within the bucket holding that rank, the rank's
+    /// position among the bucket's own samples interpolates between the
+    /// bucket's bounds, so quantiles are not quantized to bucket edges; a
+    /// rank landing on a bucket's *last* sample reports its upper bound.
+    pub fn quantile(&self, q: f64) -> Duration {
+        let counts: Vec<u64> = self
+            .buckets
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .collect();
+        let total: u64 = counts.iter().sum();
+        if total == 0 {
+            return Duration::ZERO;
+        }
+        let rank = ((total as f64 * q).floor() as u64 + 1).clamp(1, total);
+        let mut seen = 0u64;
+        for (i, &c) in counts.iter().enumerate() {
+            if c == 0 {
+                continue;
+            }
+            if seen + c >= rank {
+                let lower = bucket_lower_ns(i);
+                let width = bucket_upper_ns(i).saturating_sub(lower);
+                let frac = (rank - seen) as f64 / c as f64;
+                let ns = lower as f64 + frac * width as f64;
+                return Duration::from_nanos(ns.round() as u64);
+            }
+            seen += c;
+        }
+        Duration::from_nanos(u64::MAX)
+    }
+
+    /// Exact mean of the recorded samples, or zero when empty.
+    pub fn mean(&self) -> Duration {
+        self.sum_ns
+            .load(Ordering::Relaxed)
+            .checked_div(self.count.load(Ordering::Relaxed))
+            .map_or(Duration::ZERO, Duration::from_nanos)
+    }
+}
+
 /// Shared mutable counters updated by workers and submitters.
 #[derive(Debug)]
 pub(crate) struct Metrics {
@@ -95,9 +176,7 @@ pub(crate) struct Metrics {
     /// completed` per row and tier completions sum to at most the global
     /// total (tier-less traffic makes up the difference).
     per_tier: Vec<[AtomicU64; 5]>,
-    /// Log-linear latency histogram (see [`bucket_index`]).
-    latency: [AtomicU64; BUCKETS],
-    latency_sum_ns: AtomicU64,
+    latency: LatencyHistogram,
     /// Frames served per worker thread.
     per_worker_frames: Vec<AtomicU64>,
     /// Chip ticks executed per worker thread.
@@ -124,8 +203,7 @@ impl Metrics {
             per_tier: (0..tiers)
                 .map(|_| std::array::from_fn(|_| AtomicU64::new(0)))
                 .collect(),
-            latency: std::array::from_fn(|_| AtomicU64::new(0)),
-            latency_sum_ns: AtomicU64::new(0),
+            latency: LatencyHistogram::new(),
             per_worker_frames: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             per_worker_ticks: (0..workers).map(|_| AtomicU64::new(0)).collect(),
         }
@@ -155,9 +233,7 @@ impl Metrics {
             row[2].fetch_add(ticks, Ordering::Relaxed);
             row[3].fetch_add(micros, Ordering::Relaxed);
         }
-        let ns = u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX);
-        self.latency[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
-        self.latency_sum_ns.fetch_add(ns, Ordering::Relaxed);
+        self.latency.record(latency);
     }
 
     /// Count one accepted submission against tenant `model`.
@@ -308,11 +384,6 @@ impl Metrics {
         elapsed: Duration,
         cores: usize,
     ) -> MetricsSnapshot {
-        let counts: Vec<u64> = self
-            .latency
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect();
         let completed = self.completed.load(Ordering::Relaxed);
         let ticks = self.ticks.load(Ordering::Relaxed);
         let chip = self.chip_export();
@@ -336,14 +407,10 @@ impl Metrics {
                 .iter()
                 .map(|c| c.load(Ordering::Relaxed))
                 .collect(),
-            p50_latency: quantile(&counts, 0.50),
-            p90_latency: quantile(&counts, 0.90),
-            p99_latency: quantile(&counts, 0.99),
-            mean_latency: self
-                .latency_sum_ns
-                .load(Ordering::Relaxed)
-                .checked_div(completed)
-                .map_or(Duration::ZERO, Duration::from_nanos),
+            p50_latency: self.latency.quantile(0.50),
+            p90_latency: self.latency.quantile(0.90),
+            p99_latency: self.latency.quantile(0.99),
+            mean_latency: self.latency.mean(),
             elapsed,
             throughput_rps: if elapsed.as_secs_f64() > 0.0 {
                 completed as f64 / elapsed.as_secs_f64()
@@ -359,39 +426,6 @@ impl Metrics {
             chip,
         }
     }
-}
-
-/// Histogram quantile with sub-bucket linear interpolation.
-///
-/// The rank's position among the bucket's own samples interpolates
-/// between the bucket's bounds, so reported quantiles are no longer
-/// quantized to bucket edges (raw edges like 167 772 ns leaked straight
-/// into benchmark tables as fake p50s). A rank landing on a bucket's
-/// *last* sample still reports the bucket's upper bound, preserving the
-/// invariant that p99 over {99 fast, 1 slow} reports the slow outlier.
-fn quantile(counts: &[u64], q: f64) -> Duration {
-    let total: u64 = counts.iter().sum();
-    if total == 0 {
-        return Duration::ZERO;
-    }
-    // floor(q·n) + 1: the smallest value with at most (1-q)·n samples
-    // above it, so p99 over {99 fast, 1 slow} reports the slow outlier.
-    let rank = ((total as f64 * q).floor() as u64 + 1).clamp(1, total);
-    let mut seen = 0u64;
-    for (i, &c) in counts.iter().enumerate() {
-        if c == 0 {
-            continue;
-        }
-        if seen + c >= rank {
-            let lower = bucket_lower_ns(i);
-            let width = bucket_upper_ns(i).saturating_sub(lower);
-            let frac = (rank - seen) as f64 / c as f64;
-            let ns = lower as f64 + frac * width as f64;
-            return Duration::from_nanos(ns.round() as u64);
-        }
-        seen += c;
-    }
-    Duration::from_nanos(u64::MAX)
 }
 
 /// A live admission-control gauge: how loaded the runtime is *right now*.
@@ -570,6 +604,25 @@ mod tests {
         assert!(snap.p50_latency <= Duration::from_micros(1067));
         assert!(snap.p99_latency > Duration::from_micros(1900));
         assert!(snap.p99_latency <= Duration::from_micros(2027));
+
+        // A mix three octaves apart: power-of-two midpoints would report
+        // p50 1 536 ns and p99 1.5 ms here; the log-linear buckets stay
+        // within 1/16 of the recorded values, and the mean is exact.
+        let h = LatencyHistogram::new();
+        for _ in 0..90 {
+            h.record(Duration::from_nanos(1_000));
+        }
+        for _ in 0..10 {
+            h.record(Duration::from_nanos(1_000_000));
+        }
+        let p50 = h.quantile(0.50).as_nanos() as u64;
+        assert!((1_000..=1_063).contains(&p50), "p50 near 1 µs, got {p50}");
+        let p99 = h.quantile(0.99).as_nanos() as u64;
+        assert!((1_000_000..=1_062_500).contains(&p99), "p99 near 1 ms, got {p99}");
+        assert_eq!(
+            h.mean(),
+            Duration::from_nanos((90 * 1_000 + 10 * 1_000_000) / 100)
+        );
     }
 
     #[test]

@@ -55,7 +55,7 @@
 //!
 //! # Packed multi-tenant runtimes
 //!
-//! [`ServeRuntime::new_packed`] puts one [`PackedDeployment`] in slot 0.
+//! [`ServeRuntime::new_packed_with_sink`] puts one [`PackedDeployment`] in slot 0.
 //! A kernel chunk then mixes frames for different models into the same
 //! lockstep pass (per-model lane groups touch only their tenant's cores),
 //! and the per-model width rule gives each tenant the lane occupancy a
@@ -408,21 +408,8 @@ impl ServeRuntime {
     }
 
     /// Deploy several specs as tenants of **one** packed chip and start
-    /// the worker pool (no telemetry egress). See
-    /// [`ServeRuntime::new_packed_with_sink`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ServeRuntime::new_packed_with_sink`].
-    pub fn new_packed(
-        specs: &[NetworkDeploySpec],
-        cfg: ServeConfig,
-    ) -> Result<Self, ServeError> {
-        Self::new_packed_with_sink(specs, cfg, Arc::new(NullSink))
-    }
-
-    /// Like [`ServeRuntime::new_packed`], with a [`MetricsSink`] for the
-    /// observer's [`Snapshot`] exports.
+    /// the worker pool, with a [`MetricsSink`] for the observer's
+    /// [`Snapshot`] exports (pass a [`NullSink`] for none).
     ///
     /// Each spec is built into its own deployment with the *same*
     /// `(cfg.replicas, cfg.seed, cfg.connectivity)` a solo runtime would
@@ -446,7 +433,7 @@ impl ServeRuntime {
         cfg.validate()?;
         if specs.is_empty() {
             return Err(ServeError::BadConfig(
-                "new_packed requires at least one spec".into(),
+                "new_packed_with_sink requires at least one spec".into(),
             ));
         }
         if !cfg.tiers.is_empty() {
@@ -562,7 +549,7 @@ impl ServeRuntime {
     }
 
     /// Number of tenant models this runtime serves (1 unless built with
-    /// [`ServeRuntime::new_packed`]).
+    /// [`ServeRuntime::new_packed_with_sink`]).
     pub fn models(&self) -> usize {
         self.model_dims.len()
     }
@@ -1996,7 +1983,8 @@ mod tests {
                 .expect("cfg")
         };
         let specs = [xor_free_spec(), three_class_spec()];
-        let packed = ServeRuntime::new_packed(&specs, cfg()).expect("packed runtime");
+        let packed = ServeRuntime::new_packed_with_sink(&specs, cfg(), Arc::new(NullSink))
+            .expect("packed runtime");
         assert!(packed.is_packed());
         assert_eq!(packed.models(), 2);
         assert_eq!(packed.model_n_inputs(0), Some(2));
@@ -2056,7 +2044,8 @@ mod tests {
     #[test]
     fn packed_runtime_validates_models_and_rejects_rescale() {
         let specs = [xor_free_spec(), three_class_spec()];
-        let rt = ServeRuntime::new_packed(&specs, ServeConfig::new(3)).expect("packed");
+        let rt = ServeRuntime::new_packed_with_sink(&specs, ServeConfig::new(3), Arc::new(NullSink))
+            .expect("packed");
         assert_eq!(
             rt.submit(SubmitRequest::new(vec![0.5, 0.5]).model(2))
                 .unwrap_err(),
@@ -2083,7 +2072,7 @@ mod tests {
         let snap = rt.shutdown();
         assert_eq!(snap.completed, 1);
         assert!(
-            ServeRuntime::new_packed(&[], ServeConfig::new(3)).is_err(),
+            ServeRuntime::new_packed_with_sink(&[], ServeConfig::new(3), Arc::new(NullSink)).is_err(),
             "empty spec list is refused"
         );
     }
@@ -2307,7 +2296,11 @@ mod tests {
     #[test]
     fn packed_runtimes_reject_tier_tables() {
         let specs = [xor_free_spec(), three_class_spec()];
-        let err = ServeRuntime::new_packed(&specs, tier_cfg(3).build().expect("cfg"))
+        let err = ServeRuntime::new_packed_with_sink(
+            &specs,
+            tier_cfg(3).build().expect("cfg"),
+            Arc::new(NullSink),
+        )
             .expect_err("tiers are a solo-runtime feature");
         assert!(matches!(
             err,
@@ -2346,9 +2339,10 @@ mod tests {
         assert_eq!(before, want_before);
         assert_eq!(after, want_after, "sample 0 is the plain build");
         assert!(matches!(
-            ServeRuntime::new_packed(
+            ServeRuntime::new_packed_with_sink(
                 &[xor_free_spec()],
-                ServeConfig::new(3)
+                ServeConfig::new(3),
+                Arc::new(NullSink)
             )
             .expect("packed")
             .resample(1),

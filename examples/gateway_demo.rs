@@ -175,9 +175,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..TelemetryConfig::default()
         })
         .build()?;
-    let gw = gateway_network_with_sink(
+    let spec = extract_spec(&model.network)?;
+    let gw = Gateway::bind(
         "127.0.0.1:0",
-        &model.network,
+        &spec,
         serve_cfg,
         GatewayConfig::default(),
         sink,
@@ -269,7 +270,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .queue_capacity(1)
         .batch_max(1)
         .build()?;
-    let gw = gateway_network("127.0.0.1:0", &model.network, slow_cfg, GatewayConfig::default())?;
+    let gw = Gateway::bind(
+        "127.0.0.1:0",
+        &spec,
+        slow_cfg,
+        GatewayConfig::default(),
+        Arc::new(NullSink),
+    )?;
     let mut client = HttpClient::connect(gw.local_addr())?;
     let burst = 16usize;
     for _ in 0..burst {

@@ -30,7 +30,7 @@
 //! train a second test bench (bench 5) and serve both models once as two
 //! solo runtimes splitting the worker pool, and once consolidated onto a
 //! single packed chip serving the full pool
-//! ([`truenorth::serving::serve_packed_networks`]). Both cells serve the
+//! ([`ServeRuntime::new_packed_with_sink`]). Both cells serve the
 //! identical closed-loop workload at equal total worker threads; the
 //! packed runtime must win on aggregate req/s while each tenant's
 //! accuracy stays *exactly* equal to its solo run (responses are
@@ -73,7 +73,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tn_learn::persist::save_network;
-use tn_telemetry::{JsonLinesSink, MetricsSink};
+use tn_telemetry::{JsonLinesSink, MetricsSink, NullSink};
 use truenorth::prelude::*;
 
 const SEED: u64 = 77;
@@ -85,6 +85,15 @@ fn env_usize(key: &str, default: usize) -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
+}
+
+/// The JSON-lines sink for a telemetry trail, or a silent sink when no
+/// trail path was given.
+fn trail_sink(trail: Option<&str>) -> std::io::Result<Arc<dyn MetricsSink>> {
+    Ok(match trail {
+        Some(path) => Arc::new(JsonLinesSink::new(File::create(path)?)),
+        None => Arc::new(NullSink),
+    })
 }
 
 /// One (model × replicas × kernel_batch) measurement.
@@ -123,8 +132,8 @@ fn serve_cell(
         kernel_batch,
     } = point;
     // The production path: deploy a *persisted* model from disk.
-    let rt = serve_persisted(
-        path,
+    let rt = serve_spec(
+        &load_spec(path)?,
         ServeConfig::builder(SEED)
             .replicas(replicas)
             .workers(workers)
@@ -252,10 +261,9 @@ fn gateway_cell(
         replicas,
         kernel_batch,
     } = point;
-    let net = tn_learn::persist::load_network(std::io::BufReader::new(File::open(path)?))?;
-    let gw = gateway_network(
+    let gw = Gateway::bind(
         "127.0.0.1:0",
-        &net,
+        &load_spec(path)?,
         ServeConfig::builder(SEED)
             .replicas(replicas)
             .workers(workers)
@@ -265,6 +273,7 @@ fn gateway_cell(
             .kernel_batch(kernel_batch)
             .build()?,
         GatewayConfig::default(),
+        Arc::new(NullSink),
     )?;
     let mut client = HttpClient::connect(gw.local_addr())?;
     let n_test = data.test_y.len();
@@ -336,7 +345,7 @@ fn adaptive_spf_cell(
             ..ControllerConfig::default()
         });
     }
-    let rt = serve_persisted(path, builder.build()?)?;
+    let rt = serve_spec(&load_spec(path)?, builder.build()?)?;
     let n_test = data.test_y.len();
     let t0 = Instant::now();
     let handles: Vec<_> = (0..n_requests)
@@ -492,14 +501,7 @@ fn consolidation_sweep(
         });
     }
     let specs = [extract_spec(net_a)?, extract_spec(&net_b)?];
-    let rt = match trail {
-        Some(path) => serve_packed_specs_with_sink(
-            &specs,
-            builder.build()?,
-            Arc::new(JsonLinesSink::new(File::create(path)?)) as Arc<dyn MetricsSink>,
-        )?,
-        None => serve_packed_specs(&specs, builder.build()?)?,
-    };
+    let rt = ServeRuntime::new_packed_with_sink(&specs, builder.build()?, trail_sink(trail)?)?;
     let datasets = [data_a, &data_b];
     let t0 = Instant::now();
     let mut handles = Vec::with_capacity(total);
@@ -636,8 +638,8 @@ fn tier_cell(
     calib: &[(Vec<f32>, usize)],
 ) -> Result<TierCell, Box<dyn std::error::Error>> {
     let point = table.iter().find(|t| t.name == tier).expect("tier in table");
-    let rt = serve_persisted(
-        path,
+    let rt = serve_spec(
+        &load_spec(path)?,
         ServeConfig::builder(SEED)
             .replicas(1)
             .workers(workers)
@@ -788,7 +790,7 @@ fn tier_sweep(
                 ..TelemetryConfig::default()
             })
             .build()?;
-        let rt = serve_persisted_with_sink(path, cfg, sink as Arc<dyn MetricsSink>)?;
+        let rt = serve_spec_with_sink(&load_spec(path)?, cfg, sink as Arc<dyn MetricsSink>)?;
         rt.calibrate_tiers(&calib)?;
         let names = ["fast", "certain", "guarded"];
         let n_test = data.test_y.len();
@@ -849,15 +851,7 @@ fn fleet_cell(
         })
         .build()?;
     let cfg = FleetConfig::new(serve_cfg);
-    let fleet = match trail {
-        Some(trail_path) => fleet_persisted_with_sink(
-            path,
-            shards,
-            cfg,
-            Arc::new(JsonLinesSink::new(File::create(trail_path)?)) as Arc<dyn MetricsSink>,
-        )?,
-        None => fleet_persisted(path, shards, cfg)?,
-    };
+    let fleet = LocalFleet::launch_with_sink(&load_spec(path)?, shards, cfg, trail_sink(trail)?)?;
     let n_test = data.test_y.len();
     let t0 = Instant::now();
     let handles: Vec<_> = (0..n_requests)
@@ -990,7 +984,7 @@ fn adaptive_run(
             ..TelemetryConfig::default()
         })
         .build()?;
-    let rt = serve_network_with_sink(net, cfg, sink as Arc<dyn MetricsSink>)?;
+    let rt = serve_spec_with_sink(&extract_spec(net)?, cfg, sink as Arc<dyn MetricsSink>)?;
     let n_test = data.test_y.len();
     let t0 = Instant::now();
     let handles: Vec<_> = (0..n_requests)

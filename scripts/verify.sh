@@ -99,6 +99,14 @@ echo "== benchmark smoke: copies-saturated answers match a solo runtime =="
 cargo run --quiet --offline --release --manifest-path tnbench/Cargo.toml -- \
   --workload copies-saturated --seed 1 --seconds 2 --trace 0
 
+echo "== benchmark smoke: gateway-fleet answers match a solo runtime =="
+# HTTP clients into a gateway over a 2-shard in-process fleet: the only
+# gate that checks answers through the gateway constructors, the fleet
+# frame transport and the shared error codec against a solo runtime;
+# exits 1 on any mismatch.
+cargo run --quiet --offline --release --manifest-path tnbench/Cargo.toml -- \
+  --workload gateway-fleet --seed 1 --seconds 2 --trace 0
+
 echo "== lint gate: clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -11,11 +11,12 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tn_chip::nscs::{CoreDeploySpec, InputSource};
 use tn_telemetry::json::{self, JsonValue};
-use tn_telemetry::MemorySink;
+use tn_telemetry::{LatestSink, MemorySink, NullSink};
 use truenorth::prelude::*;
 
 /// A single-core 2-class spec with fractional weights so replica
@@ -191,7 +192,14 @@ fn wire_classify_matches_in_process_runtime() {
             .build()
             .expect("cfg")
     };
-    let gw = Gateway::bind("127.0.0.1:0", &spec, cfg(), GatewayConfig::default()).expect("bind");
+    let gw = Gateway::bind(
+        "127.0.0.1:0",
+        &spec,
+        cfg(),
+        GatewayConfig::default(),
+        Arc::new(NullSink),
+    )
+    .expect("bind");
 
     let n = 12usize;
     let mut client = TcpStream::connect(gw.local_addr()).expect("connect");
@@ -237,7 +245,14 @@ fn wire_classify_matches_in_process_runtime() {
 fn line_json_mode_serves_the_same_payloads() {
     let spec = fractional_spec();
     let cfg = || ServeConfig::builder(31).workers(1).build().expect("cfg");
-    let gw = Gateway::bind("127.0.0.1:0", &spec, cfg(), GatewayConfig::default()).expect("bind");
+    let gw = Gateway::bind(
+        "127.0.0.1:0",
+        &spec,
+        cfg(),
+        GatewayConfig::default(),
+        Arc::new(NullSink),
+    )
+    .expect("bind");
 
     let client = TcpStream::connect(gw.local_addr()).expect("connect");
     let mut reader = BufReader::new(client.try_clone().expect("clone"));
@@ -303,7 +318,7 @@ fn saturation_sheds_load_with_503_and_retry_after() {
         max_in_flight_per_conn: 64,
         ..GatewayConfig::default()
     };
-    let gw = Gateway::bind("127.0.0.1:0", &spec, cfg, gw_cfg).expect("bind");
+    let gw = Gateway::bind("127.0.0.1:0", &spec, cfg, gw_cfg, Arc::new(NullSink)).expect("bind");
 
     let n = 24usize;
     let mut client = TcpStream::connect(gw.local_addr()).expect("connect");
@@ -344,7 +359,7 @@ fn saturation_sheds_load_with_503_and_retry_after() {
 #[test]
 fn graceful_drain_completes_admitted_requests_and_flushes_telemetry() {
     let spec = fractional_spec();
-    let sink = std::sync::Arc::new(MemorySink::new());
+    let sink = Arc::new(MemorySink::new());
     let cfg = ServeConfig::builder(9)
         .workers(1)
         .spf(512)
@@ -352,12 +367,12 @@ fn graceful_drain_completes_admitted_requests_and_flushes_telemetry() {
         .telemetry(TelemetryConfig::default())
         .build()
         .expect("cfg");
-    let gw = Gateway::bind_with_sink(
+    let gw = Gateway::bind(
         "127.0.0.1:0",
         &spec,
         cfg,
         GatewayConfig::default(),
-        std::sync::Arc::clone(&sink) as std::sync::Arc<dyn tn_telemetry::MetricsSink>,
+        Arc::clone(&sink) as Arc<dyn tn_telemetry::MetricsSink>,
     )
     .expect("bind");
     let addr = gw.local_addr();
@@ -410,6 +425,7 @@ fn snapshot_endpoint_serves_the_telemetry_trail() {
         &spec,
         ServeConfig::new(3),
         GatewayConfig::default(),
+        Arc::new(NullSink),
     )
     .expect("bind");
     let mut client = TcpStream::connect(gw.local_addr()).expect("connect");
@@ -437,7 +453,14 @@ fn snapshot_endpoint_serves_the_telemetry_trail() {
         })
         .build()
         .expect("cfg");
-    let gw = Gateway::bind("127.0.0.1:0", &spec, cfg, GatewayConfig::default()).expect("bind");
+    let gw = Gateway::bind(
+        "127.0.0.1:0",
+        &spec,
+        cfg,
+        GatewayConfig::default(),
+        Arc::new(NullSink),
+    )
+    .expect("bind");
     let mut client = TcpStream::connect(gw.local_addr()).expect("connect");
     client
         .write_all(&classify_request(&request_inputs(0)))
@@ -479,8 +502,21 @@ fn packed_gateway_routes_models_and_rejects_unknown_ids() {
             .build()
             .expect("cfg")
     };
-    let gw = Gateway::bind_packed("127.0.0.1:0", &specs, cfg(), GatewayConfig::default())
-        .expect("bind packed");
+    // A packed gateway is composed: a caller-built packed runtime that
+    // sheds load instead of blocking, behind `bind_backend`.
+    let mut packed_cfg = cfg();
+    packed_cfg.backpressure = Backpressure::Reject;
+    let packed = Arc::new(
+        ServeRuntime::new_packed_with_sink(&specs, packed_cfg, Arc::new(NullSink))
+            .expect("packed runtime"),
+    );
+    let gw = Gateway::bind_backend(
+        "127.0.0.1:0",
+        Arc::clone(&packed) as Arc<dyn ServeBackend>,
+        GatewayConfig::default(),
+        Arc::new(LatestSink::tee(Arc::new(NullSink))),
+    )
+    .expect("bind packed");
 
     let mut client = TcpStream::connect(gw.local_addr()).expect("connect");
     let frames_a: Vec<Vec<f32>> = (0..4).map(request_inputs).collect();
@@ -562,12 +598,19 @@ fn packed_gateway_routes_models_and_rejects_unknown_ids() {
     assert_eq!(models[1].get("n_inputs").unwrap().as_u64(), Some(3));
     let snap = gw.shutdown();
     assert_eq!(snap.completed, 8);
+    Arc::try_unwrap(packed).expect("gateway released the runtime").shutdown();
 
     // Bit-identity vs solo gateways: tenant m's k-th request must match
     // a single-model gateway's k-th request for the same spec.
     for (model, frames) in [(0usize, &frames_a), (1usize, &frames_b)] {
-        let solo = Gateway::bind("127.0.0.1:0", &specs[model], cfg(), GatewayConfig::default())
-            .expect("bind solo");
+        let solo = Gateway::bind(
+            "127.0.0.1:0",
+            &specs[model],
+            cfg(),
+            GatewayConfig::default(),
+            Arc::new(NullSink),
+        )
+        .expect("bind solo");
         let mut client = TcpStream::connect(solo.local_addr()).expect("connect");
         for frame in frames.iter() {
             client.write_all(&classify_request(frame)).expect("send");
@@ -609,7 +652,14 @@ fn tiered_gateway_serves_quality_keys_and_structured_errors() {
         .tier(QualityTier::new("certain", 4, 8))
         .build()
         .expect("cfg");
-    let gw = Gateway::bind("127.0.0.1:0", &spec, cfg, GatewayConfig::default()).expect("bind");
+    let gw = Gateway::bind(
+        "127.0.0.1:0",
+        &spec,
+        cfg,
+        GatewayConfig::default(),
+        Arc::new(NullSink),
+    )
+    .expect("bind");
     let mut client = TcpStream::connect(gw.local_addr()).expect("connect");
     let with_quality = |frame: &[f32], quality: &str| -> Vec<u8> {
         let nums: Vec<String> = frame.iter().map(|v| v.to_string()).collect();
@@ -717,6 +767,7 @@ fn http_errors_keep_the_connection_serving() {
         &spec,
         ServeConfig::new(7),
         GatewayConfig::default(),
+        Arc::new(NullSink),
     )
     .expect("bind");
     let mut client = TcpStream::connect(gw.local_addr()).expect("connect");
