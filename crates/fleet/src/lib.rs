@@ -27,8 +27,9 @@
 //!                  └──────────┘ └──────────┘ └──────────┘
 //! ```
 //!
-//! * **No new wire formats**: request/response payloads are JSON
-//!   (parsed by `tn-telemetry`'s strict reader), and shard health rides
+//! * **No new wire formats**: request/response payloads are the JSON
+//!   shapes of [`tn_serve::wire`], the codec the gateway's HTTP bodies
+//!   use too (parsed by `tn-telemetry`'s strict reader), and shard health rides
 //!   the *existing* `tn-telemetry/1` snapshot schema — every snapshot a
 //!   shard's runtime exports is framed to the router verbatim
 //!   ([`crate::frame::FrameKind::Snap`]) and doubles as the heartbeat.

@@ -2,122 +2,33 @@
 //!
 //! Everything on the wire is JSON text (parsed with the same strict
 //! reader `tn-telemetry` uses for snapshot lines — the workspace builds
-//! offline, so there is no serde_json). Floats are encoded with `{:?}`,
-//! which prints the shortest decimal that round-trips, so a frame's
-//! spike rates and a response's confidence survive the wire bit-exactly
-//! — a requirement, since the fleet's contract is that its answer
-//! stream is *bit-identical* to a solo runtime's.
+//! offline, so there is no serde_json). Requests and responses are the
+//! shapes [`tn_serve::wire`] reads and writes for every wire layer, plus
+//! the fleet's own members: a request's `seq`, a response's `worker`
+//! and `latency_ns`. Floats follow the wire's rule, the shortest decimal
+//! that round-trips, so a frame's spike rates and a response's
+//! confidence survive the wire bit-exactly — a requirement, since the
+//! fleet's contract is that its answer stream is *bit-identical* to a
+//! solo runtime's. The fleet-only frames (handshake, errors, control)
+//! use the wire's typed getters and list writers.
 
+use std::fmt::Write;
 use std::time::Duration;
 
-use tn_serve::{Response, ServeError, ServedAs, SubmitRequest};
-use tn_telemetry::json::{escape, parse, JsonValue};
+use tn_serve::wire::{
+    self, field, get_array, get_bool, get_f64, get_str, get_u64, get_usize, opt_str,
+    string_array, usize_array, write_list, write_strings,
+};
+use tn_serve::{Response, ServeError, SubmitRequest};
+use tn_telemetry::json::{escape, num, parse, JsonValue};
 
 /// The handshake schema tag; a router refuses a shard that does not
 /// announce exactly this.
 pub const SCHEMA: &str = "tn-fleet/1";
 
-// ---------------------------------------------------------------------
-// decode helpers
-// ---------------------------------------------------------------------
-
-fn want<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, String> {
-    v.get(key).ok_or_else(|| format!("missing key {key:?}"))
-}
-
-fn get_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
-    want(v, key)?
-        .as_u64()
-        .ok_or_else(|| format!("{key:?} is not a non-negative integer"))
-}
-
-fn get_usize(v: &JsonValue, key: &str) -> Result<usize, String> {
-    Ok(get_u64(v, key)? as usize)
-}
-
-fn get_f64(v: &JsonValue, key: &str) -> Result<f64, String> {
-    want(v, key)?
-        .as_f64()
-        .ok_or_else(|| format!("{key:?} is not a number"))
-}
-
-fn get_str(v: &JsonValue, key: &str) -> Result<String, String> {
-    Ok(want(v, key)?
-        .as_str()
-        .ok_or_else(|| format!("{key:?} is not a string"))?
-        .to_string())
-}
-
-fn get_bool(v: &JsonValue, key: &str) -> Result<bool, String> {
-    want(v, key)?
-        .as_bool()
-        .ok_or_else(|| format!("{key:?} is not a boolean"))
-}
-
-fn get_arr<'a>(v: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], String> {
-    want(v, key)?
-        .as_array()
-        .ok_or_else(|| format!("{key:?} is not an array"))
-}
-
-fn u64_array(v: &JsonValue, key: &str) -> Result<Vec<u64>, String> {
-    get_arr(v, key)?
-        .iter()
-        .map(|x| {
-            x.as_u64()
-                .ok_or_else(|| format!("{key:?} holds a non-integer"))
-        })
-        .collect()
-}
-
-fn usize_array(v: &JsonValue, key: &str) -> Result<Vec<usize>, String> {
-    Ok(u64_array(v, key)?.into_iter().map(|x| x as usize).collect())
-}
-
-fn f32_array(v: &JsonValue, key: &str) -> Result<Vec<f32>, String> {
-    get_arr(v, key)?
-        .iter()
-        .map(|x| {
-            x.as_f64()
-                .map(|f| f as f32)
-                .ok_or_else(|| format!("{key:?} holds a non-number"))
-        })
-        .collect()
-}
-
-fn string_array(v: &JsonValue, key: &str) -> Result<Vec<String>, String> {
-    get_arr(v, key)?
-        .iter()
-        .map(|x| {
-            x.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| format!("{key:?} holds a non-string"))
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------
-// encode helpers
-// ---------------------------------------------------------------------
-
-fn json_usizes(xs: &[usize]) -> String {
-    let items: Vec<String> = xs.iter().map(|x| x.to_string()).collect();
-    format!("[{}]", items.join(","))
-}
-
-fn json_u64s(xs: &[u64]) -> String {
-    let items: Vec<String> = xs.iter().map(|x| x.to_string()).collect();
-    format!("[{}]", items.join(","))
-}
-
-fn json_f32s(xs: &[f32]) -> String {
-    let items: Vec<String> = xs.iter().map(|x| format!("{:?}", f64::from(*x))).collect();
-    format!("[{}]", items.join(","))
-}
-
-fn json_strings(xs: &[String]) -> String {
-    let items: Vec<String> = xs.iter().map(|s| format!("\"{}\"", escape(s))).collect();
-    format!("[{}]", items.join(","))
+/// Parse a frame payload as JSON, with the reader's error as text.
+fn parse_payload(text: &str) -> Result<JsonValue, String> {
+    parse(text).map_err(|e| e.to_string())
 }
 
 // ---------------------------------------------------------------------
@@ -156,23 +67,20 @@ pub struct Hello {
 impl Hello {
     /// Encode as the Hello frame payload.
     pub fn encode(&self) -> String {
-        let models: Vec<String> = self
-            .models
-            .iter()
-            .map(|(i, c)| format!("{{\"n_inputs\":{i},\"n_classes\":{c}}}"))
-            .collect();
+        let (mut models, mut spf, mut tiers) = (String::new(), String::new(), String::new());
+        let model = |&(i, c): &(usize, usize)| format!("{{\"n_inputs\":{i},\"n_classes\":{c}}}");
+        write_list(&mut models, self.models.iter().map(model));
+        write_list(&mut spf, &self.spf);
+        write_strings(&mut tiers, &self.tiers);
         format!(
-            "{{\"schema\":\"{SCHEMA}\",\"n_inputs\":{},\"n_classes\":{},\"models\":[{}],\
-             \"replicas\":{},\"packed\":{},\"kernel_batch\":{},\"spf\":{},\"tiers\":{},\
+            "{{\"schema\":\"{SCHEMA}\",\"n_inputs\":{},\"n_classes\":{},\"models\":{models},\
+             \"replicas\":{},\"packed\":{},\"kernel_batch\":{},\"spf\":{spf},\"tiers\":{tiers},\
              \"queue_capacity\":{},\"cores\":{}}}",
             self.n_inputs,
             self.n_classes,
-            models.join(","),
             self.replicas,
             self.packed,
             self.kernel_batch,
-            json_usizes(&self.spf),
-            json_strings(&self.tiers),
             self.queue_capacity,
             self.cores,
         )
@@ -184,12 +92,12 @@ impl Hello {
     ///
     /// A human-readable description of the first malformed field.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let v = parse(text).map_err(|e| e.to_string())?;
+        let v = parse_payload(text)?;
         let schema = get_str(&v, "schema")?;
         if schema != SCHEMA {
             return Err(format!("shard speaks {schema:?}, this router speaks {SCHEMA:?}"));
         }
-        let models = get_arr(&v, "models")?
+        let models = get_array(&v, "models")?
             .iter()
             .map(|m| Ok((get_usize(m, "n_inputs")?, get_usize(m, "n_classes")?)))
             .collect::<Result<Vec<_>, String>>()?;
@@ -216,16 +124,11 @@ impl Hello {
 /// sequence number — the determinism key the shard pins via
 /// [`SubmitRequest::at_seq`].
 pub fn encode_req(seq: u64, request: &SubmitRequest) -> String {
-    let quality = match &request.quality {
-        Some(q) => format!("\"{}\"", escape(q)),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"seq\":{seq},\"frame\":{},\"model\":{},\"class\":{},\"quality\":{quality}}}",
-        json_f32s(&request.frame),
-        request.model,
-        request.class,
-    )
+    let mut out = String::with_capacity(64 + 24 * request.frame.len());
+    let _ = write!(out, "{{\"seq\":{seq},");
+    wire::write_request(&mut out, request);
+    out.push('}');
+    out
 }
 
 /// Parse a Req frame payload into `(seq, request)`; the returned
@@ -235,22 +138,9 @@ pub fn encode_req(seq: u64, request: &SubmitRequest) -> String {
 ///
 /// A human-readable description of the first malformed field.
 pub fn parse_req(text: &str) -> Result<(u64, SubmitRequest), String> {
-    let v = parse(text).map_err(|e| e.to_string())?;
+    let v = parse_payload(text)?;
     let seq = get_u64(&v, "seq")?;
-    let mut request = SubmitRequest::new(f32_array(&v, "frame")?)
-        .model(get_usize(&v, "model")?)
-        .class(get_usize(&v, "class")?)
-        .at_seq(seq);
-    match want(&v, "quality")? {
-        JsonValue::Null => {}
-        q => {
-            request = request.quality(
-                q.as_str()
-                    .ok_or_else(|| "\"quality\" is not a string or null".to_string())?,
-            );
-        }
-    }
-    Ok((seq, request))
+    Ok((seq, wire::read_request(&v)?.at_seq(seq)))
 }
 
 // ---------------------------------------------------------------------
@@ -262,28 +152,11 @@ pub fn parse_req(text: &str) -> Result<(u64, SubmitRequest), String> {
 /// router-side latency before completing the caller's handle (wire and
 /// queueing time belong in what the caller observes).
 pub fn encode_resp(r: &Response) -> String {
-    let tier = match r.tier() {
-        Some(t) => format!("\"{}\"", escape(t)),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"seq\":{},\"predicted\":{},\"votes\":{},\"replica_predictions\":{},\
-         \"agreement\":{:?},\"class\":{},\"model\":{},\"spf\":{},\"tier\":{tier},\
-         \"confidence\":{:?},\"escalated\":{},\"worker\":{},\"ticks\":{},\"latency_ns\":{}}}",
-        r.seq,
-        r.predicted,
-        json_u64s(&r.votes),
-        json_usizes(&r.replica_predictions),
-        f64::from(r.agreement),
-        r.class(),
-        r.model(),
-        r.spf(),
-        f64::from(r.confidence()),
-        r.escalated(),
-        r.worker,
-        r.ticks,
-        r.latency.as_nanos() as u64,
-    )
+    let mut out = String::with_capacity(256);
+    out.push('{');
+    wire::write_response(&mut out, r, true);
+    let _ = write!(out, ",\"latency_ns\":{}}}", r.latency.as_nanos() as u64);
+    out
 }
 
 /// Parse a Resp frame payload back into a [`Response`].
@@ -292,33 +165,11 @@ pub fn encode_resp(r: &Response) -> String {
 ///
 /// A human-readable description of the first malformed field.
 pub fn parse_resp(text: &str) -> Result<Response, String> {
-    let v = parse(text).map_err(|e| e.to_string())?;
-    let mut served = ServedAs::new(
-        get_usize(&v, "class")?,
-        get_usize(&v, "model")?,
-        get_usize(&v, "spf")?,
-    )
-    .with_confidence(get_f64(&v, "confidence")? as f32)
-    .with_escalated(get_bool(&v, "escalated")?);
-    match want(&v, "tier")? {
-        JsonValue::Null => {}
-        t => {
-            served = served.with_tier(
-                t.as_str()
-                    .ok_or_else(|| "\"tier\" is not a string or null".to_string())?,
-            );
-        }
-    }
+    let v = parse_payload(text)?;
     Ok(Response {
-        seq: get_u64(&v, "seq")?,
-        predicted: get_usize(&v, "predicted")?,
-        votes: u64_array(&v, "votes")?,
-        replica_predictions: usize_array(&v, "replica_predictions")?,
-        agreement: get_f64(&v, "agreement")? as f32,
-        served,
         worker: get_usize(&v, "worker")?,
-        ticks: get_u64(&v, "ticks")?,
         latency: Duration::from_nanos(get_u64(&v, "latency_ns")?),
+        ..wire::read_response(&v)?
     })
 }
 
@@ -349,7 +200,7 @@ pub fn encode_err(seq: u64, e: &ServeError) -> String {
         ),
         ServeError::InputOutOfRange { channel, value } => (
             "input_out_of_range",
-            format!("{{\"channel\":{channel},\"value\":{:?}}}", f64::from(*value)),
+            format!("{{\"channel\":{channel},\"value\":{}}}", num(f64::from(*value))),
         ),
         ServeError::Pack(m) => ("pack", format!("{{\"detail\":\"{}\"}}", escape(m))),
         // The routing failures carry the same detail object the gateway
@@ -374,14 +225,14 @@ pub fn encode_err(seq: u64, e: &ServeError) -> String {
 ///
 /// A human-readable description of the first malformed field.
 pub fn parse_err(text: &str) -> Result<(u64, ServeError), String> {
-    let v = parse(text).map_err(|e| e.to_string())?;
+    let v = parse_payload(text)?;
     let seq = get_u64(&v, "seq")?;
     let code = get_str(&v, "code")?;
-    let data = want(&v, "data")?;
-    let error = match code.as_str() {
+    let data = field(&v, "data")?;
+    let error = match code {
         "queue_full" => ServeError::QueueFull,
         "shutting_down" => ServeError::ShuttingDown,
-        "unavailable" => ServeError::Unavailable(get_str(data, "detail")?),
+        "unavailable" => ServeError::Unavailable(get_str(data, "detail")?.to_string()),
         "wait_timeout" => ServeError::WaitTimeout,
         "bad_input" => ServeError::BadInput {
             expected: get_usize(data, "expected")?,
@@ -400,18 +251,18 @@ pub fn parse_err(text: &str) -> Result<(u64, ServeError), String> {
             models: get_usize(data, "models")?,
         },
         "unknown_quality" => ServeError::UnknownQuality {
-            quality: get_str(data, "quality")?,
+            quality: get_str(data, "quality")?.to_string(),
             tiers: string_array(data, "tiers")?,
         },
-        "pack" => ServeError::Pack(get_str(data, "detail")?),
-        "bad_config" => ServeError::BadConfig(get_str(data, "detail")?),
+        "pack" => ServeError::Pack(get_str(data, "detail")?.to_string()),
+        "bad_config" => ServeError::BadConfig(get_str(data, "detail")?.to_string()),
         // `deploy` cannot rebuild its error struct from a string; carry
         // the rendering in the closest reconstructible variant.
         "deploy" => ServeError::BadConfig(format!(
             "shard deploy failure: {}",
             get_str(data, "detail")?
         )),
-        _ => ServeError::BadConfig(get_str(&v, "message")?),
+        _ => ServeError::BadConfig(get_str(&v, "message")?.to_string()),
     };
     Ok((seq, error))
 }
@@ -446,8 +297,8 @@ impl Ctrl {
     ///
     /// A human-readable description of the first malformed field.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let v = parse(text).map_err(|e| e.to_string())?;
-        match get_str(&v, "op")?.as_str() {
+        let v = parse_payload(text)?;
+        match get_str(&v, "op")? {
             "set_replicas" => Ok(Ctrl::SetReplicas(get_usize(&v, "replicas")?)),
             "shutdown" => Ok(Ctrl::Shutdown),
             op => Err(format!("unknown control op {op:?}")),
@@ -483,17 +334,10 @@ impl Ack {
     ///
     /// A human-readable description of the first malformed field.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let v = parse(text).map_err(|e| e.to_string())?;
-        let op = get_str(&v, "op")?;
+        let v = parse_payload(text)?;
+        let op = get_str(&v, "op")?.to_string();
         let ok = get_bool(&v, "ok")?;
-        let error = match want(&v, "error")? {
-            JsonValue::Null => None,
-            e => Some(
-                e.as_str()
-                    .ok_or_else(|| "\"error\" is not a string or null".to_string())?
-                    .to_string(),
-            ),
-        };
+        let error = opt_str(&v, "error")?.map(str::to_string);
         if ok == error.is_some() {
             return Err("ack \"ok\" contradicts \"error\"".to_string());
         }
@@ -504,6 +348,7 @@ impl Ack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tn_serve::ServedAs;
 
     #[test]
     fn hello_round_trips_and_checks_schema() {

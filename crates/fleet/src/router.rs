@@ -1038,48 +1038,12 @@ impl Inner {
         }
     }
 
-    fn validate(&self, request: &SubmitRequest) -> Result<(), ServeError> {
-        let h = &self.hello;
-        if request.model >= h.models.len() {
-            return Err(ServeError::UnknownModel {
-                model: request.model,
-                models: h.models.len(),
-            });
-        }
-        let expected = h.models[request.model].0;
-        if request.frame.len() != expected {
-            return Err(ServeError::BadInput {
-                expected,
-                got: request.frame.len(),
-            });
-        }
-        for (channel, &value) in request.frame.iter().enumerate() {
-            if !(0.0..=1.0).contains(&value) {
-                return Err(ServeError::InputOutOfRange { channel, value });
-            }
-        }
-        if request.class >= h.spf.len() {
-            return Err(ServeError::UnknownClass {
-                class: request.class,
-                classes: h.spf.len(),
-            });
-        }
-        if let Some(q) = &request.quality {
-            if !h.tiers.iter().any(|t| t == q) {
-                return Err(ServeError::UnknownQuality {
-                    quality: q.clone(),
-                    tiers: h.tiers.clone(),
-                });
-            }
-        }
-        Ok(())
-    }
-
     fn submit(&self, request: SubmitRequest) -> Result<RequestHandle, ServeError> {
         if self.shutting_down.load(Ordering::Relaxed) {
             return Err(ServeError::ShuttingDown);
         }
-        self.validate(&request)?;
+        let h = &self.hello;
+        request.admit(&h.models, h.spf.len(), h.tiers.iter().map(String::as_str))?;
         // The router owns the fleet-global sequence counter — the
         // determinism key. An explicit caller seq is honored and the
         // counter advanced past it, mirroring ServeRuntime::submit.
@@ -1325,6 +1289,41 @@ mod tests {
             }
             other => panic!("expected BadConfig, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn admission_errors_match_a_solo_runtime() {
+        // One check, one order (model → class → quality → width →
+        // range): a request wrong in several ways gets the same error
+        // from a fleet as from a solo runtime.
+        let spec = tiny_spec();
+        let cfg = tiny_cfg();
+        let solo = ServeRuntime::new(&spec, cfg.clone()).expect("solo deploy");
+        let (shard_end, router_end) = duplex(64 * 1024);
+        let shard = ShardServer::host(&spec, cfg.clone(), shard_end).expect("host shard");
+        let router =
+            FleetRouter::connect(vec![router_end], FleetConfig::new(cfg)).expect("connect");
+        let wrong_class = SubmitRequest::new(vec![0.5]).class(9);
+        assert_eq!(
+            router.submit_request(wrong_class.clone()).expect_err("refused"),
+            ServeError::UnknownClass { class: 9, classes: 1 },
+            "the class is checked before the frame width"
+        );
+        for request in [
+            wrong_class,
+            SubmitRequest::new(vec![0.5]).model(3).class(9),
+            SubmitRequest::new(vec![2.0]).quality("warp"),
+            SubmitRequest::new(vec![0.5]),
+            SubmitRequest::new(vec![0.5, 1.5]),
+        ] {
+            let solo_err = solo.submit(request.clone()).expect_err("solo refuses");
+            let fleet_err = router.submit_request(request.clone()).expect_err("fleet refuses");
+            assert_eq!(fleet_err, solo_err, "{request:?}");
+        }
+        solo.shutdown();
+        router.begin_shutdown();
+        shard.join();
+        assert_eq!(router.finish().completed, 0);
     }
 
     #[test]

@@ -1,119 +1,44 @@
 //! Wire payloads: request-body parsing and response JSON rendering.
 //!
 //! Both wire modes (HTTP bodies and line-JSON) share these shapes; only
-//! the framing around them differs. Parsing reuses the strict
+//! the framing around them differs. A classify request and its answer
+//! are read and written by [`tn_serve::wire`], the one codec the fleet's
+//! frames use too; this module adds the gateway's own members and the
+//! introspection and error bodies. Parsing reuses the strict
 //! [`tn_telemetry::json`] reader — anything malformed is a 400, never a
-//! guess — and rendering is plain `format!` with escaped strings, so the
-//! gateway stays dependency-free.
+//! guess — and rendering is plain `format!` with escaped strings and
+//! [`num`] floats, so the gateway stays dependency-free.
 
-use tn_serve::{Backpressure, Response, ServeBackend, SubmitRequest};
-use tn_telemetry::json::{self, escape, JsonValue};
+use std::fmt::Write;
 
-/// Render an `f64` as a JSON number (non-finite values have no JSON
-/// representation; they degrade to 0).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        v.to_string()
-    } else {
-        "0".to_string()
-    }
-}
+use tn_serve::{wire, Backpressure, Response, ServeBackend, SubmitRequest};
+use tn_telemetry::json::{self, escape, num};
 
-/// Join integers into a JSON array body.
-fn join<T: std::fmt::Display>(items: impl Iterator<Item = T>) -> String {
-    let mut out = String::new();
-    for (i, item) in items.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&item.to_string());
-    }
-    out
-}
-
-/// Extract a classify request from a parsed request object. The body
-/// mirrors [`SubmitRequest`] key for key: `{"frame": [x0, x1, ...]}`
-/// with numeric entries is required, plus the optional routing knobs
-/// `"class": N` (request class, default 0), `"model": M` (tenant,
-/// default 0), and `"quality": "tier-name"` (quality tier, default
-/// none) — together routed to [`tn_serve::ServeRuntime::submit`].
-pub(crate) fn parse_classify_frame(value: &JsonValue) -> Result<SubmitRequest, String> {
-    let frame = value
-        .get("frame")
-        .ok_or_else(|| "missing \"frame\" array".to_string())?;
-    let items = frame
-        .as_array()
-        .ok_or_else(|| "\"frame\" must be an array of numbers".to_string())?;
-    let inputs: Vec<f32> = items
-        .iter()
-        .enumerate()
-        .map(|(i, v)| {
-            v.as_f64()
-                .map(|f| f as f32)
-                .ok_or_else(|| format!("frame[{i}] is not a number"))
-        })
-        .collect::<Result<_, _>>()?;
-    let class = match value.get("class") {
-        None => 0,
-        Some(v) => v
-            .as_u64()
-            .and_then(|c| usize::try_from(c).ok())
-            .ok_or_else(|| "\"class\" must be a non-negative integer".to_string())?,
-    };
-    let model = match value.get("model") {
-        None => 0,
-        Some(v) => v
-            .as_u64()
-            .and_then(|m| usize::try_from(m).ok())
-            .ok_or_else(|| "\"model\" must be a non-negative integer".to_string())?,
-    };
-    let mut request = SubmitRequest::new(inputs).class(class).model(model);
-    if let Some(v) = value.get("quality") {
-        let quality = v
-            .as_str()
-            .ok_or_else(|| "\"quality\" must be a tier-name string".to_string())?;
-        request = request.quality(quality);
-    }
-    Ok(request)
-}
-
-/// Parse a `POST /v1/classify` body.
+/// Parse a `POST /v1/classify` body: the [`wire::read_request`] object
+/// `{"frame":[x0, x1, ...]}`, with the optional routing knobs
+/// `"class"`, `"model"` and `"quality"`.
 pub(crate) fn parse_classify_body(body: &[u8]) -> Result<SubmitRequest, String> {
     let text =
         std::str::from_utf8(body).map_err(|_| "body is not valid UTF-8".to_string())?;
     let value = json::parse(text).map_err(|e| e.to_string())?;
-    parse_classify_frame(&value)
+    wire::read_request(&value)
 }
 
-/// Render one classification result, including the uncertainty verdict:
-/// `"tier"` (the answering tier's name, or `null` for tier-less
-/// requests), `"confidence"` (calibrated, raw vote margin before
-/// calibration), and `"escalated"`.
+/// Render one classification result: the [`wire::write_response`]
+/// members, including the uncertainty verdict (`"tier"` — the answering
+/// tier's name, or `null` for tier-less requests — `"confidence"` and
+/// `"escalated"`), plus `"latency_us"` and `"joules_per_frame"`.
 pub(crate) fn classify_json(r: &Response, joules_per_frame: f64) -> String {
-    let tier = match r.tier() {
-        Some(name) => format!("\"{}\"", escape(name)),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"seq\":{},\"predicted\":{},\"votes\":[{}],\"replica_predictions\":[{}],\
-         \"agreement\":{},\"class\":{},\"model\":{},\"spf\":{},\"tier\":{},\
-         \"confidence\":{},\"escalated\":{},\"ticks\":{},\
-         \"latency_us\":{},\"joules_per_frame\":{}}}",
-        r.seq,
-        r.predicted,
-        join(r.votes.iter()),
-        join(r.replica_predictions.iter()),
-        json_f64(f64::from(r.agreement)),
-        r.class(),
-        r.model(),
-        r.spf(),
-        tier,
-        json_f64(f64::from(r.confidence())),
-        r.escalated(),
-        r.ticks,
+    let mut out = String::with_capacity(256);
+    out.push('{');
+    wire::write_response(&mut out, r, false);
+    let _ = write!(
+        out,
+        ",\"latency_us\":{},\"joules_per_frame\":{}}}",
         u64::try_from(r.latency.as_micros()).unwrap_or(u64::MAX),
-        json_f64(joules_per_frame),
-    )
+        num(joules_per_frame),
+    );
+    out
 }
 
 /// Render a structured error body:
@@ -148,34 +73,42 @@ pub(crate) fn health_json() -> String {
 /// lists every packed tenant (a single entry on solo runtimes), and
 /// `"packed"` flags multi-tenant runtimes.
 pub(crate) fn config_json(rt: &dyn ServeBackend) -> String {
-    let models = join((0..rt.models()).map(|m| {
-        format!(
-            "{{\"id\":{m},\"n_inputs\":{},\"n_classes\":{}}}",
-            rt.model_n_inputs(m).unwrap_or(0),
-            rt.model_n_classes(m).unwrap_or(0),
-        )
-    }));
+    let mut models = String::new();
+    wire::write_list(
+        &mut models,
+        (0..rt.models()).map(|m| {
+            format!(
+                "{{\"id\":{m},\"n_inputs\":{},\"n_classes\":{}}}",
+                rt.model_n_inputs(m).unwrap_or(0),
+                rt.model_n_classes(m).unwrap_or(0),
+            )
+        }),
+    );
     let cfg = rt.config();
-    let tiers = join(cfg.tiers.iter().map(|t| {
-        let escalate = match &t.escalate_to {
-            Some(name) => format!("\"{}\"", escape(name)),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"name\":\"{}\",\"replicas\":{},\"spf\":{},\"kernel_batch\":{},\
-             \"confidence_target\":{},\"escalate_to\":{escalate}}}",
-            escape(&t.name),
-            t.replicas,
-            t.spf,
-            t.kernel_batch,
-            json_f64(f64::from(t.confidence_target)),
-        )
-    }));
+    let mut tiers = String::new();
+    wire::write_list(
+        &mut tiers,
+        cfg.tiers.iter().map(|t| {
+            let mut escalate = String::new();
+            wire::write_str_or_null(&mut escalate, t.escalate_to.as_deref());
+            format!(
+                "{{\"name\":\"{}\",\"replicas\":{},\"spf\":{},\"kernel_batch\":{},\
+                 \"confidence_target\":{},\"escalate_to\":{escalate}}}",
+                escape(&t.name),
+                t.replicas,
+                t.spf,
+                t.kernel_batch,
+                num(f64::from(t.confidence_target)),
+            )
+        }),
+    );
+    let mut spf = String::new();
+    wire::write_list(&mut spf, rt.spf_per_class());
     format!(
         "{{\"schema\":\"tn-gateway/1\",\
          \"model\":{{\"n_inputs\":{},\"n_classes\":{},\"replicas\":{}}},\
-         \"models\":[{models}],\"packed\":{},\"tiers\":[{tiers}],\
-         \"serve\":{{\"workers\":{},\"spf\":[{}],\"seed\":{},\"queue_capacity\":{},\
+         \"models\":{models},\"packed\":{},\"tiers\":{tiers},\
+         \"serve\":{{\"workers\":{},\"spf\":{spf},\"seed\":{},\"queue_capacity\":{},\
          \"batch_max\":{},\"kernel_batch\":{},\"backpressure\":\"{}\",\
          \"connectivity\":\"{}\",\"telemetry\":{}}}}}",
         rt.n_inputs(),
@@ -183,7 +116,6 @@ pub(crate) fn config_json(rt: &dyn ServeBackend) -> String {
         rt.replicas(),
         rt.is_packed(),
         cfg.workers,
-        join(rt.spf_per_class().iter()),
         cfg.seed,
         cfg.queue_capacity,
         cfg.batch_max,
@@ -311,8 +243,8 @@ mod tests {
 
     #[test]
     fn non_finite_numbers_degrade_to_zero() {
-        assert_eq!(json_f64(f64::NAN), "0");
-        assert_eq!(json_f64(f64::INFINITY), "0");
-        assert_eq!(json_f64(0.5), "0.5");
+        assert_eq!(num(f64::NAN).to_string(), "0");
+        assert_eq!(num(f64::INFINITY).to_string(), "0");
+        assert_eq!(num(0.5).to_string(), "0.5");
     }
 }

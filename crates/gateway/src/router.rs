@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use tn_serve::{ServeBackend, ServeError, SubmitRequest};
+use tn_serve::{wire, ServeBackend, ServeError, SubmitRequest};
 use tn_telemetry::json::{self, JsonValue};
 use tn_telemetry::LatestSink;
 
@@ -32,7 +32,7 @@ pub(crate) struct ServiceCtx {
 pub(crate) fn handle_http(req: &HttpRequest, ctx: &ServiceCtx) -> Pending {
     let path = req.target.split('?').next().unwrap_or("");
     let mut pending = match (req.method.as_str(), path) {
-        ("POST", "/v1/classify") => classify(&req.body, ctx, false),
+        ("POST", "/v1/classify") => classify(proto::parse_classify_body(&req.body), ctx, false),
         ("GET", "/v1/config") => Pending::ready(200, proto::config_json(&*ctx.rt), false),
         ("GET", "/v1/snapshot") => snapshot(ctx, false),
         ("GET", "/healthz") => Pending::ready(200, proto::health_json(), false),
@@ -68,10 +68,7 @@ pub(crate) fn route_line(line: &str, ctx: &ServiceCtx) -> Pending {
         .and_then(JsonValue::as_str)
         .unwrap_or("classify");
     match op {
-        "classify" => match proto::parse_classify_frame(&value) {
-            Ok(request) => submit(request, ctx, true),
-            Err(msg) => Pending::ready(400, proto::error_json("bad_request", &msg), true),
-        },
+        "classify" => classify(wire::read_request(&value), ctx, true),
         "config" => Pending::ready(200, proto::config_json(&*ctx.rt), true),
         "snapshot" => snapshot(ctx, true),
         "health" => Pending::ready(200, proto::health_json(), true),
@@ -83,47 +80,48 @@ pub(crate) fn route_line(line: &str, ctx: &ServiceCtx) -> Pending {
     }
 }
 
-/// Parse a classify body and submit it.
-fn classify(body: &[u8], ctx: &ServiceCtx, line_mode: bool) -> Pending {
-    match proto::parse_classify_body(body) {
-        Ok(request) => submit(request, ctx, line_mode),
+/// Submit one parsed classify request: a malformed one is a `400
+/// bad_request`, a refused one an [`error_reply`].
+fn classify(parsed: Result<SubmitRequest, String>, ctx: &ServiceCtx, line_mode: bool) -> Pending {
+    match parsed.map(|request| ctx.rt.submit_request(request)) {
+        Ok(Ok(handle)) => Pending::handle(handle, line_mode),
+        Ok(Err(e)) => error_reply(&e, &*ctx.rt, line_mode),
         Err(msg) => Pending::ready(400, proto::error_json("bad_request", &msg), line_mode),
     }
 }
 
-/// Submit one classify request; map admission failures onto wire
-/// responses. The routing failures (`unknown_class` / `unknown_model` /
-/// `unknown_quality`) share one structured 400 shape whose `detail`
-/// object ([`ServeError::routing_detail`]) names what was asked for and
-/// what this runtime serves.
-fn submit(request: SubmitRequest, ctx: &ServiceCtx, line_mode: bool) -> Pending {
-    match ctx.rt.submit_request(request) {
-        Ok(handle) => Pending::handle(handle, line_mode),
-        Err(ServeError::QueueFull) => Pending::ready(
+/// The one mapping from a [`ServeError`] onto a wire reply, both for a
+/// refusal at admission and for an admitted request that fails later
+/// (a fleet fails admitted handles with `QueueFull` when its retry
+/// budget runs out and `Unavailable` when a shard's connection is lost).
+/// Overload is `503` + `Retry-After` on a connection that stays open; a
+/// drain is `503` and closes it. The routing failures share one `400`
+/// shape whose `detail` ([`ServeError::routing_detail`]) names what was
+/// asked for and what this runtime serves.
+pub(crate) fn error_reply(e: &ServeError, rt: &dyn ServeBackend, line_mode: bool) -> Pending {
+    match e {
+        ServeError::QueueFull => Pending::ready(
             503,
             proto::error_json("queue_full", "submission queue is full; retry later"),
             line_mode,
         )
-        .with_retry_after(retry_after_secs(&*ctx.rt)),
-        Err(ServeError::ShuttingDown) => Pending::ready(
+        .with_retry_after(retry_after_secs(rt)),
+        ServeError::ShuttingDown => Pending::ready(
             503,
             proto::error_json("shutting_down", "gateway is draining"),
             line_mode,
         )
         .closing(),
-        // Unlike a drain, the connection stays open: unavailability is a
-        // backend-capacity condition (dead/stale fleet shards) that may
-        // recover, so the client is invited to retry.
-        Err(ServeError::Unavailable(msg)) => Pending::ready(
+        ServeError::Unavailable(msg) => Pending::ready(
             503,
             proto::error_json("unavailable", &format!("backend unavailable: {msg}")),
             line_mode,
         )
-        .with_retry_after(retry_after_secs(&*ctx.rt)),
-        Err(
-            e @ (ServeError::BadInput { .. } | ServeError::InputOutOfRange { .. }),
-        ) => Pending::ready(400, proto::error_json("bad_input", &e.to_string()), line_mode),
-        Err(e) => match e.routing_detail() {
+        .with_retry_after(retry_after_secs(rt)),
+        ServeError::BadInput { .. } | ServeError::InputOutOfRange { .. } => {
+            Pending::ready(400, proto::error_json("bad_input", &e.to_string()), line_mode)
+        }
+        _ => match e.routing_detail() {
             Some((code, detail)) => Pending::ready(
                 400,
                 proto::error_json_detail(code, &e.to_string(), Some(&detail)),

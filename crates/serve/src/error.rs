@@ -136,16 +136,10 @@ impl ServeError {
                 format!("{{\"model\":{model},\"models\":{models}}}"),
             )),
             Self::UnknownQuality { quality, tiers } => {
-                let listed: Vec<String> =
-                    tiers.iter().map(|t| format!("\"{}\"", escape(t))).collect();
-                Some((
-                    "unknown_quality",
-                    format!(
-                        "{{\"quality\":\"{}\",\"tiers\":[{}]}}",
-                        escape(quality),
-                        listed.join(",")
-                    ),
-                ))
+                let mut detail = format!("{{\"quality\":\"{}\",\"tiers\":", escape(quality));
+                crate::wire::write_strings(&mut detail, tiers);
+                detail.push('}');
+                Some(("unknown_quality", detail))
             }
             _ => None,
         }

@@ -110,6 +110,9 @@
 //!   lets a router mint handle/completer pairs for remotely dispatched
 //!   requests; and [`pipe::duplex`] provides in-memory duplex streams so
 //!   a whole fleet runs deterministically inside one test process.
+//!   [`wire`] is the one JSON codec of a request and an answer for
+//!   every wire layer, and [`SubmitRequest::admit`] the one admission
+//!   check every backend runs.
 //!
 //! # Example
 //!
@@ -158,6 +161,7 @@ mod queue;
 mod request;
 mod runtime;
 mod tier;
+pub mod wire;
 
 pub use backend::ServeBackend;
 pub use config::{Backpressure, ServeConfig, ServeConfigBuilder, TelemetryConfig};

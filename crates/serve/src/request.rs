@@ -7,8 +7,14 @@
 //! `/v1/classify` JSON body mirrors this struct key-for-key
 //! (`frame`/`model`/`class`/`quality`).
 //!
+//! [`SubmitRequest::admit`] is the one admission check: a solo runtime
+//! and a fleet router run it in the same order, so the same request
+//! gets the same [`ServeError`] from either.
+//!
 //! `From<Vec<f32>>` keeps the common one-liner working unchanged:
 //! `rt.submit(vec![0.5, 0.25])` is `rt.submit(SubmitRequest::new(...))`.
+
+use crate::ServeError;
 
 /// One classify request: a frame plus optional routing knobs.
 ///
@@ -94,6 +100,51 @@ impl SubmitRequest {
         self.seq = Some(seq);
         self
     }
+
+    /// The one admission check, in one order: model → class → quality
+    /// tier → frame width → input range, against each model's
+    /// `(n_inputs, n_classes)`, the class count and the tier names.
+    /// Returns the requested tier's index; allocates only on error.
+    ///
+    /// # Errors
+    ///
+    /// The first of `UnknownModel`, `UnknownClass`, `UnknownQuality`,
+    /// `BadInput` and `InputOutOfRange` that applies.
+    pub fn admit<'t>(
+        &self,
+        model_dims: &[(usize, usize)],
+        classes: usize,
+        tiers: impl Iterator<Item = &'t str> + Clone,
+    ) -> Result<Option<usize>, ServeError> {
+        let (model, class, models) = (self.model, self.class, model_dims.len());
+        let Some(&(n_inputs, _)) = model_dims.get(model) else {
+            return Err(ServeError::UnknownModel { model, models });
+        };
+        if class >= classes {
+            return Err(ServeError::UnknownClass { class, classes });
+        }
+        let tier = match &self.quality {
+            None => None,
+            Some(name) => Some(tiers.clone().position(|t| t == name).ok_or_else(|| {
+                let tiers = tiers.map(str::to_string).collect();
+                ServeError::UnknownQuality { quality: name.clone(), tiers }
+            })?),
+        };
+        check_frame(&self.frame, n_inputs)?;
+        Ok(tier)
+    }
+}
+
+/// The frame half of [`SubmitRequest::admit`]: `n_inputs` wide, every
+/// value in `[0, 1]`.
+pub(crate) fn check_frame(frame: &[f32], n_inputs: usize) -> Result<(), ServeError> {
+    if frame.len() != n_inputs {
+        return Err(ServeError::BadInput { expected: n_inputs, got: frame.len() });
+    }
+    match frame.iter().position(|v| !(0.0..=1.0).contains(v)) {
+        Some(channel) => Err(ServeError::InputOutOfRange { channel, value: frame[channel] }),
+        None => Ok(()),
+    }
 }
 
 impl From<Vec<f32>> for SubmitRequest {
@@ -118,6 +169,43 @@ mod tests {
         );
         let req = SubmitRequest::new(vec![1.0]).at_seq(41);
         assert_eq!(req.seq, Some(41));
+    }
+
+    #[test]
+    fn admit_checks_model_class_tier_width_range_in_order() {
+        let dims = [(2, 3), (1, 2)];
+        let tiers = ["fast", "certain"];
+        let admit = |req: SubmitRequest| req.admit(&dims, 2, tiers.iter().copied());
+        assert_eq!(admit(SubmitRequest::new(vec![0.0, 1.0])), Ok(None));
+        assert_eq!(
+            admit(SubmitRequest::new(vec![0.5]).model(1).quality("certain")),
+            Ok(Some(1))
+        );
+        // Every check fails below; the earliest in the order wins.
+        let all_wrong = SubmitRequest::new(vec![2.0]).model(5).class(9).quality("warp");
+        assert_eq!(
+            admit(all_wrong.clone()),
+            Err(ServeError::UnknownModel { model: 5, models: 2 })
+        );
+        assert_eq!(
+            admit(all_wrong.clone().model(0)),
+            Err(ServeError::UnknownClass { class: 9, classes: 2 })
+        );
+        assert_eq!(
+            admit(all_wrong.clone().model(0).class(1)),
+            Err(ServeError::UnknownQuality {
+                quality: "warp".to_string(),
+                tiers: vec!["fast".to_string(), "certain".to_string()],
+            })
+        );
+        assert_eq!(
+            admit(all_wrong.clone().model(0).class(1).quality("fast")),
+            Err(ServeError::BadInput { expected: 2, got: 1 })
+        );
+        assert_eq!(
+            admit(SubmitRequest::new(vec![0.5, f32::NAN])).map_err(|e| e.to_string()),
+            Err("input channel 1 = NaN outside normalized [0, 1]".to_string())
+        );
     }
 
     #[test]

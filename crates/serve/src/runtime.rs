@@ -83,7 +83,7 @@ use crate::error::ServeError;
 use crate::handle::{pair, Completer, RequestHandle, Response, ServedAs};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::queue::{BoundedQueue, PushError};
-use crate::request::SubmitRequest;
+use crate::request::{check_frame, SubmitRequest};
 use crate::tier::{vote_margin, CalibrationMap, QualityTier};
 
 /// Seed salt for the offline calibration pass
@@ -695,55 +695,18 @@ impl ServeRuntime {
     /// With several submitter threads racing on one model, "k-th" is the
     /// order submissions win the model's counter.
     fn submit_inner(&self, request: SubmitRequest) -> Result<RequestHandle, ServeError> {
+        let tier = request.admit(
+            &self.model_dims,
+            self.control.spf.len(),
+            self.control.tiers.iter().map(|t| t.tier.name.as_str()),
+        )?;
         let SubmitRequest {
             frame: inputs,
             model,
             class,
-            quality,
             seq: seq_override,
             ..
         } = request;
-        let Some(&(n_inputs, _)) = self.model_dims.get(model) else {
-            return Err(ServeError::UnknownModel {
-                model,
-                models: self.model_dims.len(),
-            });
-        };
-        if class >= self.control.spf.len() {
-            return Err(ServeError::UnknownClass {
-                class,
-                classes: self.control.spf.len(),
-            });
-        }
-        let tier = match &quality {
-            None => None,
-            Some(name) => {
-                let Some(idx) = self
-                    .control
-                    .tiers
-                    .iter()
-                    .position(|t| t.tier.name == *name)
-                else {
-                    return Err(ServeError::UnknownQuality {
-                        quality: name.clone(),
-                        tiers: self.tier_names(),
-                    });
-                };
-                Some(idx)
-            }
-        };
-        if inputs.len() != n_inputs {
-            return Err(ServeError::BadInput {
-                expected: n_inputs,
-                got: inputs.len(),
-            });
-        }
-        if let Some(channel) = inputs.iter().position(|v| !(0.0..=1.0).contains(v)) {
-            return Err(ServeError::InputOutOfRange {
-                channel,
-                value: inputs[channel],
-            });
-        }
         // Shard-addressable submission: an explicit seq (from a fleet
         // router that owns the global counter) is honored verbatim; the
         // local counter is advanced past it so occasional mixing with
@@ -856,18 +819,7 @@ impl ServeRuntime {
             return Ok(());
         }
         for (x, _) in frames {
-            if x.len() != self.n_inputs {
-                return Err(ServeError::BadInput {
-                    expected: self.n_inputs,
-                    got: x.len(),
-                });
-            }
-            if let Some(channel) = x.iter().position(|v| !(0.0..=1.0).contains(v)) {
-                return Err(ServeError::InputOutOfRange {
-                    channel,
-                    value: x[channel],
-                });
-            }
+            check_frame(x, self.n_inputs)?;
         }
         for (t, state) in self.control.tiers.iter().enumerate() {
             let (_, mut engine) = self.control.slots[1 + t].checkout(self.cfg.core_threads);

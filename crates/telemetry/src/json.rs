@@ -101,11 +101,18 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parse one complete JSON document; trailing non-whitespace is an error.
+/// The deepest array/object nesting [`parse`] accepts: it recurses once
+/// per level, so an unbounded wall of `[` would overflow the stack. The
+/// deepest document this workspace writes nests 4 levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse one complete JSON document; trailing non-whitespace is an error,
+/// and so is nesting deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -119,6 +126,7 @@ pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -150,8 +158,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -160,6 +168,20 @@ impl Parser<'_> {
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse an array or object one level deeper, up to [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
@@ -318,6 +340,13 @@ impl Parser<'_> {
     }
 }
 
+/// Render an `f64` as a JSON number: the shortest decimal that reads
+/// back to the same bits (`{:?}`: `0.1`, `1.0`, `9.6e-7`), so an `f32`
+/// frame crosses a wire bit-exactly. Non-finite values are written `0`.
+pub fn num(v: f64) -> impl fmt::Display {
+    fmt::from_fn(move |f| if v.is_finite() { write!(f, "{v:?}") } else { f.write_str("0") })
+}
+
 /// Escape a string for embedding in a JSON document.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -380,6 +409,32 @@ mod tests {
         let doc = format!("{{\"s\": \"{}\"}}", escape(original));
         let v = parse(&doc).expect("parse");
         assert_eq!(v.get("s").unwrap().as_str(), Some(original));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        parse(&nest(MAX_DEPTH)).expect("at the limit");
+        let err = parse(&nest(MAX_DEPTH + 1)).expect_err("one past the limit");
+        assert!(err.message.contains("deeper than 128"), "{err}");
+        let deep_object = format!("{}1{}", "{\"k\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(parse(&deep_object).is_err());
+        // An unterminated wall of brackets, as a hostile body would send.
+        assert!(parse(&"[".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn num_is_shortest_round_trip_and_finite() {
+        for v in [0.1, 1.0, 9.6e-7, 2.0 / 3.0, f64::from(0.1f32), 1e300] {
+            let text = num(v).to_string();
+            assert_eq!(text.parse::<f64>(), Ok(v), "{text}");
+            assert_eq!(parse(&text).expect("valid JSON").as_f64(), Some(v));
+        }
+        assert_eq!(num(9.6e-7).to_string(), "9.6e-7");
+        assert_eq!(num(1.0).to_string(), "1.0");
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(num(v).to_string(), "0");
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::json::{escape, parse, JsonError, JsonValue};
+use crate::json::{escape, num, parse, JsonError, JsonValue};
 use crate::span::{Stage, StageStats};
 
 /// Schema marker stamped on every snapshot line.
@@ -119,8 +119,7 @@ impl Snapshot {
             if i > 0 {
                 out.push(',');
             }
-            // {:?} prints f64 with enough digits to round-trip exactly.
-            out.push_str(&format!("\"{}\":{:?}", escape(name), value));
+            out.push_str(&format!("\"{}\":{}", escape(name), num(*value)));
         }
         out.push_str("},\"stages\":{");
         for (i, (name, stats)) in self.stages.iter().enumerate() {

@@ -13,6 +13,13 @@ cargo test -q
 echo "== kernel equivalence: compiled fast path vs reference interpreter =="
 cargo test -q -p truenorth --test integration_kernel
 
+echo "== wire parser fuzz: fleet messages and gateway HTTP, 1024 cases =="
+# Deeper than tier-1's 64 cases per property: arbitrary, truncated and
+# byte-flipped payloads never panic a parser, and requests, responses
+# and errors round-trip exactly through the shared wire codec.
+PROPTEST_CASES=1024 cargo test -q -p tn-fleet --test msg_proptests
+PROPTEST_CASES=1024 cargo test -q -p tn-gateway --test http_proptests
+
 echo "== bench smoke: compiled tick throughput =="
 TN_BENCH_TICKS=100 cargo run --release -q -p tn-bench --bin bench_tick
 
